@@ -89,17 +89,28 @@ def cdf(params: MixtureParams, x):
     return out
 
 
-def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample(
+    params: MixtureParams, n: int, rng: np.random.Generator, rows: int | None = None
+) -> np.ndarray:
     """Draw ``n`` independent observations from the mixture.
 
-    Each observation consumes exactly two values from ``rng``: one uniform
-    for component selection, then one standard normal scaled into the chosen
-    component.  Output is bit-reproducible given the generator state.
+    With ``rows`` given, draw a ``(rows, n)`` block of independent samples
+    instead.  Each observation consumes exactly two values from ``rng``: a
+    uniform for component selection and a standard normal scaled into the
+    chosen component.  All the uniforms are drawn first, then all the
+    normals, both in row-major order, so a block is the reshaped output of
+    ``rng.random(rows * n)`` followed by ``rng.standard_normal(rows * n)``.
+    Output is bit-reproducible given the generator state.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
-    u = rng.random(n)
-    z = rng.standard_normal(n)
+    shape = n
+    if rows is not None:
+        if not isinstance(rows, (int, np.integer)) or rows < 1:
+            raise DomainError(f"row count must be a positive integer, got {rows}")
+        shape = (rows, n)
+    u = rng.random(shape)
+    z = rng.standard_normal(shape)
     return np.where(u < params.theta, params.mu + params.sigma * z, z)
 
 

@@ -6,9 +6,12 @@ minimal sample sizes for a target power, and approximates the asymptotic
 relative efficiency as the ratio of minimal sample sizes along a mixing
 proportion schedule shrinking toward the null.
 
-Reproducibility contract: every replication's sample depends only on
-(master seed, simulation cell, replication index), and per-cell results are
-integer rejection counts, so output is bit-identical for any worker count.
+Reproducibility contract: replications are drawn in fixed blocks of
+``_BLOCK``, one Philox stream and one batched draw per block, so every
+sample depends only on (master seed, simulation cell, block index,
+replication count).  Per-cell results are integer rejection counts, so
+output is bit-identical for any worker count and for any evaluation chunk
+size that is a multiple of the block.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 """
@@ -33,7 +36,8 @@ from .rank_tests import (
 )
 from .streams import replication_rng, stream_key
 
-_CHUNK = 4096
+_BLOCK = 256  # replications per random stream; changing it changes every draw
+_CHUNK = 16 * _BLOCK  # replications evaluated together; must be a multiple of _BLOCK
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -119,15 +123,6 @@ class EmpiricalArePoint:
 # vectorized per-chunk test evaluation
 # ---------------------------------------------------------------------------
 
-def _ordinal_ranks_rows(a: np.ndarray) -> np.ndarray:
-    """Ranks 1..n along each row; rows must be tie-free."""
-    order = np.argsort(a, axis=1)
-    ranks = np.empty_like(order)
-    rows = np.arange(a.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, a.shape[1] + 1)[None, :]
-    return ranks
-
-
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     n = x.shape[1]
     mean = x.mean(axis=1)
@@ -143,19 +138,20 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     n = x.shape[1]
-    abs_x = np.abs(x)
-    zero_rows = (x == 0.0).any(axis=1)
-    sorted_abs = np.sort(abs_x, axis=1)
-    tie_rows = (np.diff(sorted_abs, axis=1) == 0.0).any(axis=1)
+    # One argsort of |x| per row: on a tie-free row without zeros the sorted
+    # position is the rank, so W+ is the rank sum over the positive entries.
+    ordered = np.take_along_axis(x, np.argsort(np.abs(x), axis=1), axis=1)
+    w_all = (ordered > 0.0) @ np.arange(1, n + 1)
+    sorted_abs = np.abs(ordered, out=ordered)
+    zero_rows = sorted_abs[:, 0] == 0.0
+    tie_rows = (sorted_abs[:, 1:] == sorted_abs[:, :-1]).any(axis=1)
     slow = zero_rows | tie_rows
 
     rejections = 0
     degenerate = 0
     fast = ~slow
     if fast.any():
-        rows = x[fast]
-        ranks = _ordinal_ranks_rows(np.abs(rows))
-        w = np.where(rows > 0.0, ranks, 0).sum(axis=1)
+        w = w_all[fast]
         if n <= AUTO_EXACT_MAX_N:
             p = _wilcoxon_p_exact(w, n, sidedness)
         else:
@@ -199,9 +195,10 @@ def _simulate_rejections(
     def run_span(span: tuple[int, int]) -> dict[TestKind, tuple[int, int]]:
         lo, hi = span
         x = np.empty((hi - lo, n))
-        for j in range(hi - lo):
-            rng = replication_rng(config.master_seed, cell, lo + j)
-            x[j] = draw_sample(params, n, rng)
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            rng = replication_rng(config.master_seed, cell, start // _BLOCK)
+            x[start - lo : stop - lo] = draw_sample(params, n, rng, rows=stop - start)
         return {
             kind: _EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds
         }

@@ -110,7 +110,7 @@ def _t_p_value(stat, df, sidedness: Sidedness):
     if sidedness is Sidedness.GREATER:
         return student_t_sf(stat, df)
     if sidedness is Sidedness.LESS:
-        return 1.0 - student_t_sf(stat, df)
+        return student_t_sf(np.negative(stat), df)  # by symmetry; no cancellation in the tail
     return 2.0 * student_t_sf(np.abs(stat), df)
 
 

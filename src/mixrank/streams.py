@@ -1,9 +1,11 @@
 """Deterministic, splittable random streams for parallel Monte Carlo.
 
-Every simulation replication owns a Philox counter-based stream whose 128-bit
-key is a hash of ``(master seed, cell key, replication index)``.  Streams are
-therefore independent by construction, any replication can be regenerated in
-isolation, and results cannot depend on worker count or scheduling order.
+Every block of consecutive simulation replications owns a Philox
+counter-based stream whose 128-bit key is a hash of ``(master seed, cell key,
+block index)``; the block size is fixed by the Monte Carlo lab, never by its
+worker count.  Streams are therefore independent by construction, any block
+can be regenerated in isolation, and results cannot depend on worker count,
+chunking or scheduling order.
 """
 
 import hashlib
@@ -15,9 +17,10 @@ import numpy as np
 def stream_key(*parts) -> int:
     """Hash a tuple of ints/floats/strings into a 128-bit stream key.
 
-    Floats are keyed by their IEEE-754 bit pattern, integers by their decimal
-    digits (so arbitrary-precision seeds are fine).  The encoding is
-    platform-independent.
+    Floats are keyed by their IEEE-754 bit pattern, with ``-0.0`` folded
+    into ``0.0`` so that equal parameters always share a stream; integers by
+    their decimal digits (so arbitrary-precision seeds are fine).  The
+    encoding is platform-independent.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
@@ -26,7 +29,7 @@ def stream_key(*parts) -> int:
         if isinstance(part, (int, np.integer)):
             h.update(b"i%d;" % int(part))
         elif isinstance(part, (float, np.floating)):
-            h.update(b"f" + struct.pack("<d", float(part)))
+            h.update(b"f" + struct.pack("<d", float(part) + 0.0))  # -0.0 + 0.0 == +0.0
         elif isinstance(part, str):
             h.update(b"s" + part.encode("utf-8") + b";")
         else:
@@ -34,9 +37,9 @@ def stream_key(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def replication_rng(master_seed: int, cell_key: int, replication: int) -> np.random.Generator:
-    """Generator for one replication of one simulation cell."""
-    key = stream_key(master_seed, cell_key, replication)
+def replication_rng(master_seed: int, cell_key: int, block: int) -> np.random.Generator:
+    """Generator for one block of replications of one simulation cell."""
+    key = stream_key(master_seed, cell_key, block)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -143,6 +143,24 @@ def test_sample_determinism_and_validation():
         sample(p, 0, seeded_rng(7, "det"))
 
 
+def test_sample_block_shape_and_draw_order():
+    p = MixtureParams(0.3, 1.0, 2.0)
+    block = sample(p, 7, seeded_rng(7, "block"), rows=5)
+    assert block.shape == (5, 7)
+    # documented order: every uniform of the block, then every normal, row-major
+    rng = seeded_rng(7, "block")
+    u = rng.random(35).reshape(5, 7)
+    z = rng.standard_normal(35).reshape(5, 7)
+    np.testing.assert_array_equal(block, np.where(u < p.theta, p.mu + p.sigma * z, z))
+    # a one-row block is the 1-D draw
+    np.testing.assert_array_equal(
+        sample(p, 7, seeded_rng(7, "row"), rows=1)[0], sample(p, 7, seeded_rng(7, "row"))
+    )
+    for bad in (0, -1, 2.0):
+        with pytest.raises(DomainError):
+            sample(p, 7, seeded_rng(7, "block"), rows=bad)
+
+
 def test_sample_null_mean_lln():
     draws = sample(MixtureParams(0.0, 0.0, 1.0), 10**6, seeded_rng(11, "lln-null"))
     assert abs(draws.mean()) <= 4.0 / 1000.0

@@ -6,10 +6,12 @@ acceptance suite; these tests keep replication budgets small.
 
 import math
 
+import numpy as np
 import pytest
 
+from mixrank import power
 from mixrank.errors import DomainError, InsufficientDataError, SearchOverflowError
-from mixrank.mixture import MixtureParams
+from mixrank.mixture import MixtureParams, sample
 from mixrank.power import (
     SimConfig,
     TestKind,
@@ -20,6 +22,7 @@ from mixrank.power import (
     power_ratio_surface,
 )
 from mixrank.rank_tests import Sidedness
+from mixrank.streams import replication_rng
 
 
 def config(**overrides):
@@ -52,6 +55,37 @@ def test_estimate_power_deterministic_across_parallelism():
     assert serial == threaded
     again = estimate_power(TestKind.WILCOXON, params, 35, config(max_parallelism=1, nreps=9000))
     assert serial == again
+
+
+def test_counts_identical_across_chunk_sizes(monkeypatch):
+    params = MixtureParams(0.4, 1.0, 1.0)
+    cfg = config(nreps=3 * power._BLOCK + 17)  # ends in a partial block
+    default = power._simulate_rejections(params, 30, cfg, tuple(TestKind))
+    for blocks in (1, 2):
+        monkeypatch.setattr(power, "_CHUNK", blocks * power._BLOCK)
+        assert power._simulate_rejections(params, 30, cfg, tuple(TestKind)) == default
+
+
+def test_block_regenerates_alone(monkeypatch):
+    params = MixtureParams(0.4, 1.0, 1.0)
+    n, cfg = 12, config(nreps=3 * power._BLOCK + 17)
+    chunks = []
+
+    def record(x, alpha, sidedness):
+        chunks.append(x.copy())
+        return 0, 0
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    power._simulate_rejections(params, n, cfg, (TestKind.T,))
+    full = np.concatenate(chunks)
+    assert full.shape == (cfg.nreps, n)
+
+    cell = power._simulation_cell_key(params, n)
+    B = power._BLOCK
+    for b in (1, 3):
+        rows = min(B, cfg.nreps - b * B)
+        alone = sample(params, n, replication_rng(cfg.master_seed, cell, b), rows=rows)
+        np.testing.assert_array_equal(alone, full[b * B : b * B + rows])
 
 
 def test_estimate_power_seed_sensitivity():

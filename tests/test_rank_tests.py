@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from mixrank.errors import (
     DegenerateSampleError,
@@ -86,6 +87,15 @@ def test_t_test_tail_complementarity():
         p_l = t_test(x, Sidedness.LESS).p_value
         assert p_g + p_l == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= t_test(x, Sidedness.TWO_SIDED).p_value <= 1.0
+
+
+def test_t_test_less_side_far_tail_matches_scipy():
+    # t ~ -235 at n = 10: 1 - P(T > t) would cancel to 0.0 here
+    x = np.linspace(-5.1, -4.9, 10)
+    expected = scipy.stats.ttest_1samp(x, 0.0, alternative="less").pvalue
+    assert 0.0 < expected < 1e-17
+    assert t_test(x, Sidedness.LESS).p_value == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert t_test(-x, Sidedness.GREATER).p_value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_t_statistic_scale_invariance():
