@@ -45,6 +45,7 @@ from .mixture import (
 from .power import (
     EmpiricalArePoint,
     PowerEstimate,
+    Probe,
     SampleSizeResult,
     SimConfig,
     SurfacePoint,
@@ -87,6 +88,7 @@ __all__ = [
     "MixtureParams",
     "NullPmf",
     "PowerEstimate",
+    "Probe",
     "Sample",
     "SampleSizeResult",
     "SearchOverflowError",

@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -43,24 +45,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
+def _list_of(convert, noun: str):
+    def parse(text: str) -> list:
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            message = f"not a comma-separated {noun} list: {text!r}"
+            raise argparse.ArgumentTypeError(message) from exc
+        if not values:
+            raise argparse.ArgumentTypeError("empty value list")
+        return values
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
+_float_list = _list_of(float, "float")
+_int_list = _list_of(int, "integer")
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -68,6 +68,30 @@ def _float_pair(text: str) -> tuple[float, float]:
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
     return values[0], values[1]
+
+
+def _plain(obj):
+    """JSON-ready copy of ``obj``.
+
+    Dataclasses and named tuples become dicts of their fields, Enums their
+    values, tuples lists; dicts and lists are copied recursively.
+    """
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if hasattr(obj, "_asdict"):
+        return _plain(obj._asdict())
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    return obj
+
+
+def _json(obj) -> str:
+    """The one JSON rendering of every payload, partial result and manifest."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -85,10 +109,6 @@ class RunManifest:
 def _write_output(path: str, payload: str, subcommand: str, args: argparse.Namespace) -> None:
     data = payload.encode("utf-8")
     out = Path(path)
-    try:
-        out.write_bytes(data)
-    except OSError as exc:
-        raise DataFileError(f"cannot write output file {path}: {exc}") from exc
     manifest = RunManifest(
         subcommand=subcommand,
         parameters={
@@ -101,10 +121,11 @@ def _write_output(path: str, payload: str, subcommand: str, args: argparse.Names
         tool_version=__version__,
         output_checksum="sha256:" + hashlib.sha256(data).hexdigest(),
     )
-    out.with_name(out.name + ".manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        out.write_bytes(data)
+        out.with_name(out.name + ".manifest.json").write_text(_json(manifest), encoding="utf-8")
+    except OSError as exc:
+        raise DataFileError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, subcommand: str, payload: str) -> None:
@@ -134,18 +155,16 @@ def cmd_are(args: argparse.Namespace) -> None:
     eff_w = efficacy_w(args.mu, args.sigma)
     eff_t = efficacy_t(args.mu, args.sigma)
     if args.json:
-        payload = json.dumps(
+        payload = _json(
             {
                 "are": value,
-                "variant": variant.value,
+                "variant": variant,
                 "mu": args.mu,
                 "sigma": args.sigma,
-                "efficacy_w": asdict(eff_w),
-                "efficacy_t": asdict(eff_t),
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+                "efficacy_w": eff_w,
+                "efficacy_t": eff_t,
+            }
+        )
     else:
         payload = (
             f"are {_fmt(value)}\n"
@@ -182,70 +201,29 @@ def cmd_curve(args: argparse.Namespace) -> None:
     _emit(args, "curve", "\n".join(lines) + "\n")
 
 
-def _power_estimate_dict(estimate) -> dict:
-    return {
-        "power": estimate.power,
-        "mc_se": estimate.mc_se,
-        "nreps": estimate.nreps,
-        "test_kind": estimate.test_kind.value,
-        "n_degenerate": estimate.n_degenerate,
-    }
-
-
-def _search_dict(result) -> dict:
-    return {
-        "n_min": result.n_min,
-        "achieved_power_ci": list(result.achieved_power_ci),
-        "search_trace": [
-            {"n": n, "estimate": _power_estimate_dict(est)} for n, est in result.search_trace
-        ],
-    }
+@contextmanager
+def _partial_on_overflow(key: str):
+    """On a search overflow, print the completed work under ``key`` and re-raise."""
+    try:
+        yield
+    except SearchOverflowError as exc:
+        sys.stdout.write(_json({"error": str(exc), key: exc.partial}))
+        raise
 
 
 def cmd_nmin(args: argparse.Namespace) -> None:
     config = _sim_config(args)
     params = MixtureParams(args.theta, args.mu, args.sigma)
-    try:
+    with _partial_on_overflow("partial_trace"):
         result = min_sample_size(TestKind(args.test), params, args.power, config, args.n_cap)
-    except SearchOverflowError as exc:
-        partial = {
-            "error": str(exc),
-            "partial_trace": [
-                {"n": n, "estimate": _power_estimate_dict(est)} for n, est in exc.partial
-            ],
-        }
-        sys.stdout.write(json.dumps(partial, indent=2, sort_keys=True) + "\n")
-        raise
-    payload = json.dumps(_search_dict(result), indent=2, sort_keys=True) + "\n"
-    _emit(args, "nmin", payload)
+    _emit(args, "nmin", _json(result))
 
 
 def cmd_emp_are(args: argparse.Namespace) -> None:
     config = _sim_config(args)
-    try:
+    with _partial_on_overflow("rows"):
         rows = empirical_are(args.mu, args.sigma, args.theta, args.power, config, args.n_cap)
-    except SearchOverflowError as exc:
-        partial = {
-            "error": str(exc),
-            "rows": [_emp_are_row(row) for row in exc.partial],
-        }
-        sys.stdout.write(json.dumps(partial, indent=2, sort_keys=True) + "\n")
-        raise
-    payload = json.dumps(
-        {"rows": [_emp_are_row(row) for row in rows]}, indent=2, sort_keys=True
-    ) + "\n"
-    _emit(args, "emp-are", payload)
-
-
-def _emp_are_row(row) -> dict:
-    return {
-        "theta": row.theta,
-        "n_t": row.n_t,
-        "n_w": row.n_w,
-        "ratio": row.ratio,
-        "t_search": _search_dict(row.t_search),
-        "w_search": _search_dict(row.w_search),
-    }
+    _emit(args, "emp-are", _json({"rows": rows}))
 
 
 def _read_data_file(path: str) -> list[float]:
@@ -270,31 +248,18 @@ def _read_data_file(path: str) -> list[float]:
     return values
 
 
-def _outcome_dict(outcome) -> dict:
-    return {
-        "statistic": outcome.statistic,
-        "n_effective": outcome.n_effective,
-        "p_value": outcome.p_value,
-        "sidedness": outcome.sidedness.value,
-        "method": outcome.method.value,
-    }
-
-
 def cmd_test(args: argparse.Namespace) -> None:
     data = _read_data_file(args.data)
     sidedness = _SIDEDNESS[args.sided]
     outcomes = {}
     try:
         if args.test in ("t", "both"):
-            outcomes["t"] = _outcome_dict(t_test(data, sidedness))
+            outcomes["t"] = t_test(data, sidedness)
         if args.test in ("wilcoxon", "both"):
-            outcomes["wilcoxon"] = _outcome_dict(
-                wilcoxon_test(data, sidedness, _MODES[args.mode])
-            )
+            outcomes["wilcoxon"] = wilcoxon_test(data, sidedness, _MODES[args.mode])
     except MixrankError as exc:
         raise DataFileError(f"{args.data}: {exc}") from exc
-    payload = json.dumps({"n": len(data), "outcomes": outcomes}, indent=2, sort_keys=True) + "\n"
-    _emit(args, "test", payload)
+    _emit(args, "test", _json({"n": len(data), "outcomes": outcomes}))
 
 
 def cmd_null_dist(args: argparse.Namespace) -> None:

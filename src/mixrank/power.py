@@ -20,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,13 +85,20 @@ class PowerEstimate:
     n_degenerate: int = 0
 
 
+class Probe(NamedTuple):
+    """One step of a sample-size search: the probed n and its estimate."""
+
+    n: int
+    estimate: PowerEstimate
+
+
 @dataclass(frozen=True)
 class SampleSizeResult:
     """Outcome of a minimal-sample-size search."""
 
     n_min: int
     achieved_power_ci: tuple[float, float]
-    search_trace: list[tuple[int, PowerEstimate]]
+    search_trace: list[Probe]
 
 
 @dataclass(frozen=True)
@@ -321,11 +329,11 @@ def min_sample_size(
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
 
-    trace: list[tuple[int, PowerEstimate]] = []
+    trace: list[Probe] = []
 
     def accept(n: int) -> bool:
         estimate = estimate_power(test_kind, params, n, config)
-        trace.append((n, estimate))
+        trace.append(Probe(n, estimate))
         return _meets_target(estimate, target_power)
 
     n = 2
@@ -350,7 +358,7 @@ def min_sample_size(
                 lo = mid
         n_min = hi
 
-    final = next(est for probe_n, est in trace if probe_n == n_min)
+    final = next(probe.estimate for probe in trace if probe.n == n_min)
     ci = (
         max(0.0, final.power - _Z99 * final.mc_se),
         min(1.0, final.power + _Z99 * final.mc_se),

@@ -3,8 +3,9 @@
 Provides the two statistics, the pairwise-sum U statistic the signed-rank
 statistic decomposes into, the exact null law of W+ under symmetry (integer
 dynamic programming, exact for n <= 60), and p-values with the classical
-zero/tie handling: exact zeros are dropped, tied magnitudes get midranks,
-and exact mode refuses ties.
+zero/tie handling: exact zeros are dropped, tied magnitudes get midranks
+and a tie-corrected normal-approximation variance, and exact mode refuses
+ties.
 """
 
 import math
@@ -176,9 +177,17 @@ def u_statistic(sample) -> float:
     return _positive_pair_count(x) / (n * (n - 1) // 2)
 
 
-def _has_tied_magnitudes(x: np.ndarray) -> bool:
+def _tie_term(x: np.ndarray) -> float:
+    """Sum of (t^3 - t) / 48 over groups of t tied magnitudes; 0.0 without ties.
+
+    This is what ties take off the null variance of W+ (Lehmann 1975).
+    """
     a = np.sort(np.abs(x))
-    return bool((np.diff(a) == 0.0).any())
+    same = a[1:] == a[:-1]
+    if not same.any():
+        return 0.0
+    t = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
+    return float((t**3 - t).sum()) / 48.0
 
 
 def identity_check(sample) -> bool:
@@ -190,7 +199,7 @@ def identity_check(sample) -> bool:
     x = as_sample(sample).values
     if x.size < 2:
         raise InsufficientDataError("identity needs at least two observations")
-    if (x == 0.0).any() or _has_tied_magnitudes(x):
+    if (x == 0.0).any() or _tie_term(x) > 0.0:
         raise TiesUnsupportedError("identity requires tie-free data without zeros")
     w_plus, _ = wilcoxon_statistic(x)
     pairs = _positive_pair_count(x)
@@ -214,21 +223,13 @@ class NullPmf:
 
     def __init__(self, n: int, counts):
         self.n = int(n)
-        self.counts = tuple(int(c) for c in counts)
+        self.counts = tuple(map(int, counts))
         total = 1 << self.n
-        # Integer prefix/suffix sums first, so each float is correctly rounded.
-        run = 0
-        cdf = []
-        for c in self.counts:
-            run += c
-            cdf.append(run / total)
-        run = 0
-        sf_rev = []
-        for c in reversed(self.counts):
-            run += c
-            sf_rev.append(run / total)
-        self._cdf = np.array(cdf)
-        self._sf = np.array(sf_rev[::-1])
+        # Exact int64 prefix/suffix sums first (they reach 2^n <= 2^60), then
+        # one division by a power of two, so each float is correctly rounded.
+        c = np.array(self.counts, dtype=np.int64)
+        self._cdf = np.cumsum(c) / total
+        self._sf = np.cumsum(c[::-1])[::-1] / total
 
     @property
     def support_max(self) -> int:
@@ -272,8 +273,9 @@ def exact_null_pmf(n: int) -> NullPmf:
     """Exact null pmf of W+ for 1 <= n <= 60, computed once and memoized.
 
     The counts are the coefficients of prod_{i=1..n} (1 + z^i), accumulated
-    with arbitrary-precision integers, so the table is exact and its mean
-    and variance recover n(n+1)/4 and n(n+1)(2n+1)/24 as rationals.
+    in int64, which is exact because every count is at most 2^n <= 2^60; the
+    table's mean and variance recover n(n+1)/4 and n(n+1)(2n+1)/24 as
+    rationals.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= EXACT_NULL_MAX_N:
         raise DomainError(f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {n}")
@@ -281,13 +283,11 @@ def exact_null_pmf(n: int) -> NullPmf:
     with _pmf_lock:
         pmf = _pmf_cache.get(n)
         if pmf is None:
-            counts = [1]
+            counts = np.zeros(n * (n + 1) // 2 + 1, dtype=np.int64)
+            counts[0] = 1
             for i in range(1, n + 1):
-                grown = counts + [0] * i
-                for k, c in enumerate(counts):
-                    grown[k + i] += c
-                counts = grown
-            pmf = NullPmf(n, counts)
+                counts[i:] += counts[:-i].copy()
+            pmf = NullPmf(n, counts.tolist())
             _pmf_cache[n] = pmf
         return pmf
 
@@ -307,10 +307,14 @@ def _wilcoxon_p_exact(w, n: int, sidedness: Sidedness):
     return np.minimum(1.0, 2.0 * np.minimum(pmf.sf(k), pmf.cdf(k)))
 
 
-def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness):
-    """Normal approximation with +-0.5 continuity correction."""
+def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness, tie_term: float = 0.0):
+    """Normal approximation with +-0.5 continuity correction.
+
+    ``tie_term`` (see :func:`_tie_term`) is subtracted from the untied null
+    variance n(n+1)(2n+1)/24.
+    """
     mean = n * (n + 1) / 4.0
-    sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
+    sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
     w = np.asarray(w, dtype=float)
     p_greater = normal_sf((w - 0.5 - mean) / sd)
     p_less = normal_cdf((w + 0.5 - mean) / sd)
@@ -330,14 +334,14 @@ def wilcoxon_test(
 
     ``mode=EXACT`` uses the exact null pmf and refuses tied magnitudes
     (the count table assumes distinct ranks); ``mode=NORMAL_APPROX`` uses the
-    continuity-corrected Gaussian approximation; ``mode=AUTO`` picks exact
-    for tie-free samples with at most 25 nonzero observations, the
+    continuity- and tie-corrected Gaussian approximation; ``mode=AUTO`` picks
+    exact for tie-free samples with at most 25 nonzero observations, the
     approximation otherwise.
     """
     x = as_sample(sample).values
     w_plus, n_eff = wilcoxon_statistic(x)
-    nz = x[x != 0.0]
-    tied = _has_tied_magnitudes(nz)
+    tie_term = _tie_term(x[x != 0.0])
+    tied = tie_term > 0.0
 
     if mode is WilcoxonMode.EXACT:
         use_exact = True
@@ -352,7 +356,7 @@ def wilcoxon_test(
         p = float(_wilcoxon_p_exact(int(round(w_plus)), n_eff, sidedness))
         method = Method.EXACT
     else:
-        p = float(_wilcoxon_p_normal(w_plus, n_eff, sidedness))
+        p = float(_wilcoxon_p_normal(w_plus, n_eff, sidedness, tie_term))
         method = Method.NORMAL_APPROX
 
     return TestOutcome(

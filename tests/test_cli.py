@@ -5,7 +5,13 @@ import json
 
 import pytest
 
+from mixrank import __version__
 from mixrank.cli import main
+from mixrank.efficiency import AreVariant, are, efficacy_t, efficacy_w
+from mixrank.errors import SearchOverflowError
+from mixrank.mixture import MixtureParams
+from mixrank.power import SimConfig, TestKind, empirical_are, min_sample_size
+from mixrank.rank_tests import Sidedness, WilcoxonMode, t_test, wilcoxon_test
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +120,13 @@ def test_manifest_written_with_matching_checksum(tmp_path, capsys):
     assert manifest["subcommand"] == "grid"
     assert manifest["tool_version"]
     assert manifest["parameters"]["steps_mu"] == 3
+
+
+def test_manifest_write_failure_is_data_error(tmp_path, capsys):
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    code, _, err = run_cli(capsys, "null-dist", "--n", "3", "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    assert "x.csv.manifest.json" in err
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +334,141 @@ def test_null_dist_n1(capsys):
 def test_null_dist_out_of_range(capsys):
     code, _, err = run_cli(capsys, "null-dist", "--n", "61")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON bytes: every payload, partial and manifest, rendered by hand
+# ---------------------------------------------------------------------------
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _estimate(est) -> dict:
+    return {
+        "power": est.power,
+        "mc_se": est.mc_se,
+        "nreps": est.nreps,
+        "test_kind": est.test_kind.value,
+        "n_degenerate": est.n_degenerate,
+    }
+
+
+def _search(result) -> dict:
+    return {
+        "n_min": result.n_min,
+        "achieved_power_ci": list(result.achieved_power_ci),
+        "search_trace": [{"n": n, "estimate": _estimate(est)} for n, est in result.search_trace],
+    }
+
+
+def _emp_row(row) -> dict:
+    return {
+        "theta": row.theta,
+        "n_t": row.n_t,
+        "n_w": row.n_w,
+        "ratio": row.ratio,
+        "t_search": _search(row.t_search),
+        "w_search": _search(row.w_search),
+    }
+
+
+def _outcome(outcome) -> dict:
+    return {
+        "statistic": outcome.statistic,
+        "n_effective": outcome.n_effective,
+        "p_value": outcome.p_value,
+        "sidedness": outcome.sidedness.value,
+        "method": outcome.method.value,
+    }
+
+
+def _sim(nreps, seed):
+    return SimConfig(alpha=0.05, sidedness=Sidedness.GREATER, nreps=nreps, master_seed=seed)
+
+
+def test_are_json_bytes(capsys):
+    _, out, _ = run_cli(
+        capsys, "are", "--mu", "0.7", "--sigma", "0.4", "--variant", "printed", "--json"
+    )
+    efficacy = lambda e: {"slope": e.slope, "null_sd": e.null_sd, "efficacy": e.efficacy}
+    expected = {
+        "are": are(0.7, 0.4, AreVariant.AS_PRINTED),
+        "variant": AreVariant.AS_PRINTED.value,
+        "mu": 0.7,
+        "sigma": 0.4,
+        "efficacy_w": efficacy(efficacy_w(0.7, 0.4)),
+        "efficacy_t": efficacy(efficacy_t(0.7, 0.4)),
+    }
+    assert out == _dumps(expected)
+
+
+def test_nmin_json_bytes_and_manifest(tmp_path, capsys):
+    argv = ["nmin", "--test", "wilcoxon", "--mu", "5", "--sigma", "1", "--theta", "0.6",
+            "--power", "0.8", "--nreps", "700", "--seed", "3"]
+    result = min_sample_size(TestKind.WILCOXON, MixtureParams(0.6, 5.0, 1.0), 0.8, _sim(700, 3))
+    payload = _dumps(_search(result))
+    _, out, _ = run_cli(capsys, *argv)
+    assert out == payload
+
+    path = tmp_path / "nmin.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == payload
+    manifest = {
+        "subcommand": "nmin",
+        "parameters": {
+            "alpha": 0.05, "mu": 5.0, "n_cap": 1_000_000, "nreps": 700, "out": str(path),
+            "power": 0.8, "seed": 3, "sided": "greater", "sigma": 1.0, "subcommand": "nmin",
+            "test": "wilcoxon", "theta": 0.6, "threads": 1,
+        },
+        "master_seed": 3,
+        "parallelism": 1,
+        "tool_version": __version__,
+        "output_checksum": "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    }
+    assert (tmp_path / "nmin.json.manifest.json").read_text(encoding="utf-8") == _dumps(manifest)
+
+
+def test_emp_are_json_bytes(capsys):
+    rows = empirical_are(5.0, 1.0, [1.0, 0.9], 0.8, _sim(600, 4))
+    _, out, _ = run_cli(
+        capsys, "emp-are", "--mu", "5", "--sigma", "1", "--theta", "1.0,0.9",
+        "--power", "0.8", "--nreps", "600", "--seed", "4",
+    )
+    assert out == _dumps({"rows": [_emp_row(row) for row in rows]})
+
+
+def test_overflow_partials_json_bytes(capsys):
+    with pytest.raises(SearchOverflowError) as nmin_exc:
+        min_sample_size(TestKind.T, MixtureParams(0.01, 0.1, 1.0), 0.9, _sim(400, 6), 64)
+    _, out, _ = run_cli(
+        capsys, "nmin", "--test", "t", "--mu", "0.1", "--sigma", "1", "--theta", "0.01",
+        "--power", "0.9", "--nreps", "400", "--seed", "6", "--n-cap", "64",
+    )
+    trace = [{"n": n, "estimate": _estimate(est)} for n, est in nmin_exc.value.partial]
+    assert out == _dumps({"error": str(nmin_exc.value), "partial_trace": trace})
+
+    with pytest.raises(SearchOverflowError) as emp_exc:
+        empirical_are(1.0, 1.0, [0.8, 0.001], 0.8, _sim(400, 6), 128)
+    _, out, _ = run_cli(
+        capsys, "emp-are", "--mu", "1", "--sigma", "1", "--theta", "0.8,0.001",
+        "--power", "0.8", "--nreps", "400", "--seed", "6", "--n-cap", "128",
+    )
+    rows = [_emp_row(row) for row in emp_exc.value.partial]
+    assert out == _dumps({"error": str(emp_exc.value), "rows": rows})
+
+
+def test_cmd_test_both_json_bytes(tmp_path, capsys):
+    values = [1.5, -2.0, 0.0, 3.25, 0.5, 1.5, -0.5, 2.0]
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{v}\n" for v in values))
+    _, out, _ = run_cli(capsys, "test", "--data", str(data), "--test", "both")
+    expected = {
+        "n": len(values),
+        "outcomes": {
+            "t": _outcome(t_test(values, Sidedness.TWO_SIDED)),
+            "wilcoxon": _outcome(wilcoxon_test(values, Sidedness.TWO_SIDED, WilcoxonMode.AUTO)),
+        },
+    }
+    assert out == _dumps(expected)

@@ -7,6 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixrank.errors import (
     DegenerateSampleError,
@@ -280,3 +282,26 @@ def test_wilcoxon_zero_policy():
     assert out.n_effective == 3
     with pytest.raises(DegenerateSampleError):
         wilcoxon_test([0.0, 0.0])
+
+
+_SCIPY_ALTERNATIVE = {
+    Sidedness.GREATER: "greater",
+    Sidedness.LESS: "less",
+    Sidedness.TWO_SIDED: "two-sided",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tenths=st.lists(st.integers(-40, 40), min_size=26, max_size=119).filter(any),
+    sidedness=st.sampled_from(list(Sidedness)),
+)
+def test_wilcoxon_normal_approx_tie_corrected_matches_scipy(tenths, sidedness):
+    # Rounded data: tied magnitudes and zeros are the rule, not the exception.
+    x = np.array(tenths) / 10.0
+    outcome = wilcoxon_test(x, sidedness, mode=WilcoxonMode.NORMAL_APPROX)
+    expected = scipy.stats.wilcoxon(
+        x, alternative=_SCIPY_ALTERNATIVE[sidedness], method="asymptotic",
+        correction=True, zero_method="wilcox",
+    ).pvalue
+    assert outcome.p_value == pytest.approx(float(expected), rel=1e-9, abs=1e-300)
