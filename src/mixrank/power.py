@@ -11,9 +11,14 @@ Reproducibility contract: replications are drawn in fixed blocks of
 sample depends only on (master seed, simulation cell, block index,
 replication count).  Per-cell results are integer rejection counts, so
 output is bit-identical for any worker count and for any evaluation chunk
-size that is a multiple of the block.
+size that is a multiple of the block.  A chunk holds at most
+``_CHUNK_ELEMENTS`` sample values, or one block where a block alone holds
+more (n > 16384).
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
+``empirical_are`` runs its T and W searches in lockstep over shared draws:
+a sample size both searches probe in the same step is drawn once and
+evaluated by both tests, so no (cell, n) is simulated twice.
 """
 
 import math
@@ -38,7 +43,8 @@ from .rank_tests import (
 from .streams import replication_rng, stream_key
 
 _BLOCK = 256  # replications per random stream; changing it changes every draw
-_CHUNK = 16 * _BLOCK  # replications evaluated together; must be a multiple of _BLOCK
+_CHUNK = 16 * _BLOCK  # most replications evaluated together; must be a multiple of _BLOCK
+_CHUNK_ELEMENTS = _CHUNK * 1024  # sample values per chunk (32 MiB of float64); binds above n = 1024
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -146,14 +152,19 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     n = x.shape[1]
-    # One argsort of |x| per row: on a tie-free row without zeros the sorted
-    # position is the rank, so W+ is the rank sum over the positive entries.
-    ordered = np.take_along_axis(x, np.argsort(np.abs(x), axis=1), axis=1)
-    w_all = (ordered > 0.0) @ np.arange(1, n + 1)
-    sorted_abs = np.abs(ordered, out=ordered)
-    zero_rows = sorted_abs[:, 0] == 0.0
-    tie_rows = (sorted_abs[:, 1:] == sorted_abs[:, :-1]).any(axis=1)
+    # One integer sort per row.  Non-negative doubles order like their bit
+    # patterns, and the shift drops the sign bit, so the key orders a row by
+    # |x| and carries the sign in its low bit.  On a tie-free row without
+    # zeros the sorted position is the rank, so W+ is the rank sum over the
+    # keys whose low bit is set.
+    key = np.left_shift(x.view(np.uint64), 1)
+    np.bitwise_or(key, x > 0.0, out=key)
+    key.sort(axis=1)
+    zero_rows = key[:, 0] >> 1 == 0
+    # Adjacent keys that differ at most in the sign bit are tied magnitudes.
+    tie_rows = (np.bitwise_xor(key[:, 1:], key[:, :-1]) < 2).any(axis=1)
     slow = zero_rows | tie_rows
+    w_all = np.bitwise_and(key, 1, out=key).view(np.int64) @ np.arange(1, n + 1)
 
     rejections = 0
     degenerate = 0
@@ -198,7 +209,8 @@ def _simulate_rejections(
     kinds: tuple[TestKind, ...],
 ) -> dict[TestKind, tuple[int, int]]:
     cell = _simulation_cell_key(params, n)
-    spans = [(lo, min(lo + _CHUNK, config.nreps)) for lo in range(0, config.nreps, _CHUNK)]
+    rows = max(_BLOCK, min(_CHUNK, _CHUNK_ELEMENTS // n // _BLOCK * _BLOCK))
+    spans = [(lo, min(lo + rows, config.nreps)) for lo in range(0, config.nreps, rows)]
 
     def run_span(span: tuple[int, int]) -> dict[TestKind, tuple[int, int]]:
         lo, hi = span
@@ -310,6 +322,80 @@ def _meets_target(estimate: PowerEstimate, target_power: float) -> bool:
     return lower >= target_power - _NMIN_SLACK
 
 
+def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
+    """Bracket-then-bisect over n, driven from outside.
+
+    Yields each n to probe and expects that probe's :class:`PowerEstimate`
+    sent back; returns ``(trace, n_min)``.  The bracket doubles from 2, so
+    two searches driven in step ask for the same n until they part, and
+    their intervals never overlap again after that.
+    """
+    if not 0.0 < target_power < 1.0:
+        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
+    if theta <= 0.0:
+        raise DomainError("sample-size search requires an alternative (theta > 0)")
+    trace: list[Probe] = []
+
+    def accept(estimate: PowerEstimate) -> bool:
+        trace.append(Probe(n, estimate))
+        return _meets_target(estimate, target_power)
+
+    lo, n = 1, 2
+    while not accept((yield n)):
+        lo, n = n, n * 2
+        if n > n_cap:
+            raise SearchOverflowError(
+                f"sample-size bracket exceeded {n_cap} for theta={theta}", partial=trace
+            )
+    hi = n
+    while hi - lo > 1:
+        n = (lo + hi) // 2
+        if accept((yield n)):
+            hi = n
+        else:
+            lo = n
+    return trace, hi
+
+
+def _search_result(trace: list[Probe], n_min: int) -> SampleSizeResult:
+    final = next(probe.estimate for probe in trace if probe.n == n_min)
+    ci = (
+        max(0.0, final.power - _Z99 * final.mc_se),
+        min(1.0, final.power + _Z99 * final.mc_se),
+    )
+    return SampleSizeResult(n_min=n_min, achieved_power_ci=ci, search_trace=trace)
+
+
+def _sample_size_searches(
+    kinds: tuple[TestKind, ...],
+    params: MixtureParams,
+    target_power: float,
+    config: SimConfig,
+    n_cap: int,
+) -> dict[TestKind, SampleSizeResult]:
+    """One search per test kind, stepped together over shared draws.
+
+    Each step simulates every n asked for once and evaluates it with the
+    tests whose searches asked for it, so a cell two searches probe is
+    drawn once.
+    """
+    searches = {kind: _bracket_and_bisect(params.theta, target_power, n_cap) for kind in kinds}
+    asked = {kind: next(search) for kind, search in searches.items()}
+    results = {}
+    while asked:
+        for n in sorted(set(asked.values())):
+            step = tuple(kind for kind in asked if asked[kind] == n)
+            counts = _simulate_rejections(params, n, config, step)
+            for kind in step:
+                estimate = _estimate_from_counts(*counts[kind], config.nreps, kind)
+                try:
+                    asked[kind] = searches[kind].send(estimate)
+                except StopIteration as done:
+                    results[kind] = _search_result(*done.value)
+                    del asked[kind]
+    return results
+
+
 def min_sample_size(
     test_kind: TestKind,
     params: MixtureParams,
@@ -324,46 +410,7 @@ def min_sample_size(
     99% lower confidence bound of the estimate to reach
     ``target_power - 0.01``; every probe is recorded in the trace.
     """
-    if not 0.0 < target_power < 1.0:
-        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
-    if params.theta <= 0.0:
-        raise DomainError("sample-size search requires an alternative (theta > 0)")
-
-    trace: list[Probe] = []
-
-    def accept(n: int) -> bool:
-        estimate = estimate_power(test_kind, params, n, config)
-        trace.append(Probe(n, estimate))
-        return _meets_target(estimate, target_power)
-
-    n = 2
-    if accept(n):
-        n_min = n
-    else:
-        while True:
-            lo, n = n, n * 2
-            if n > n_cap:
-                raise SearchOverflowError(
-                    f"sample-size bracket exceeded {n_cap} for theta={params.theta}",
-                    partial=trace,
-                )
-            if accept(n):
-                break
-        hi = n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if accept(mid):
-                hi = mid
-            else:
-                lo = mid
-        n_min = hi
-
-    final = next(probe.estimate for probe in trace if probe.n == n_min)
-    ci = (
-        max(0.0, final.power - _Z99 * final.mc_se),
-        min(1.0, final.power + _Z99 * final.mc_se),
-    )
-    return SampleSizeResult(n_min=n_min, achieved_power_ci=ci, search_trace=trace)
+    return _sample_size_searches((test_kind,), params, target_power, config, n_cap)[test_kind]
 
 
 def empirical_are(
@@ -378,8 +425,11 @@ def empirical_are(
 
     The trailing ratios approximate the asymptotic relative efficiency of
     the signed-rank test over the t test; this is the brute-force oracle
-    that arbitrates the closed form's constant.  On a search overflow the
-    completed rows ride along on the exception's ``partial`` attribute.
+    that arbitrates the closed form's constant.  At each theta the two
+    searches run in lockstep and share the draws of every n both probe; each
+    search's result equals that of :func:`min_sample_size`.  On a search
+    overflow the completed rows ride along on the exception's ``partial``
+    attribute.
     """
     thetas = [float(t) for t in theta_sequence]
     if not thetas:
@@ -393,10 +443,10 @@ def empirical_are(
     for theta in thetas:
         params = MixtureParams(theta, mu, sigma)
         try:
-            t_search = min_sample_size(TestKind.T, params, target_power, config, n_cap)
-            w_search = min_sample_size(TestKind.WILCOXON, params, target_power, config, n_cap)
+            searches = _sample_size_searches(tuple(TestKind), params, target_power, config, n_cap)
         except SearchOverflowError as exc:
             raise SearchOverflowError(str(exc), partial=rows) from exc
+        t_search, w_search = searches[TestKind.T], searches[TestKind.WILCOXON]
         rows.append(
             EmpiricalArePoint(
                 theta=theta,

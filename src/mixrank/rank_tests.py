@@ -15,7 +15,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateSampleError,
@@ -138,6 +137,28 @@ def t_test(sample, sidedness: Sidedness = Sidedness.TWO_SIDED) -> TestOutcome:
 # signed-rank and U statistics
 # ---------------------------------------------------------------------------
 
+def _signed_rank(x: np.ndarray) -> tuple[float, int, float]:
+    """W+, the effective sample size and the tie term, from one sort of |x|.
+
+    Exact zeros are dropped and tied magnitudes receive midranks.  The tie
+    term is the sum of (t^3 - t) / 48 over groups of t tied magnitudes
+    (0.0 without ties): what ties take off the null variance of W+
+    (Lehmann 1975).
+    """
+    nz = x[x != 0.0]
+    if nz.size == 0:
+        raise DegenerateSampleError("all observations are exactly zero")
+    magnitude = np.abs(nz)
+    order = np.argsort(magnitude)
+    magnitude = magnitude[order]
+    starts = np.flatnonzero(np.concatenate(([True], magnitude[1:] != magnitude[:-1])))
+    t = np.diff(np.append(starts, nz.size))
+    # A group at sorted positions s..s+t-1 holds ranks s+1..s+t, mean s+(t+1)/2.
+    midranks = np.repeat(starts + (t + 1) / 2.0, t)
+    w_plus = float(midranks[nz[order] > 0.0].sum())
+    return w_plus, int(nz.size), float((t**3 - t).sum()) / 48.0
+
+
 def wilcoxon_statistic(sample) -> tuple[float, int]:
     """Signed-rank statistic W+ and the effective sample size.
 
@@ -145,13 +166,8 @@ def wilcoxon_statistic(sample) -> tuple[float, int]:
     and tied magnitudes receive midranks.  W+ is the sum of the ranks of
     |X_i| over the positive observations.
     """
-    x = as_sample(sample).values
-    nz = x[x != 0.0]
-    if nz.size == 0:
-        raise DegenerateSampleError("all observations are exactly zero")
-    ranks = rankdata(np.abs(nz))
-    w_plus = float(ranks[nz > 0.0].sum())
-    return w_plus, int(nz.size)
+    w_plus, n_eff, _ = _signed_rank(as_sample(sample).values)
+    return w_plus, n_eff
 
 
 def _positive_pair_count(x: np.ndarray) -> int:
@@ -177,19 +193,6 @@ def u_statistic(sample) -> float:
     return _positive_pair_count(x) / (n * (n - 1) // 2)
 
 
-def _tie_term(x: np.ndarray) -> float:
-    """Sum of (t^3 - t) / 48 over groups of t tied magnitudes; 0.0 without ties.
-
-    This is what ties take off the null variance of W+ (Lehmann 1975).
-    """
-    a = np.sort(np.abs(x))
-    same = a[1:] == a[:-1]
-    if not same.any():
-        return 0.0
-    t = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
-    return float((t**3 - t).sum()) / 48.0
-
-
 def identity_check(sample) -> bool:
     """Verify W+ = C(n,2)*U + #{X_i > 0} exactly on tie-free data.
 
@@ -199,12 +202,11 @@ def identity_check(sample) -> bool:
     x = as_sample(sample).values
     if x.size < 2:
         raise InsufficientDataError("identity needs at least two observations")
-    if (x == 0.0).any() or _tie_term(x) > 0.0:
-        raise TiesUnsupportedError("identity requires tie-free data without zeros")
-    w_plus, _ = wilcoxon_statistic(x)
-    pairs = _positive_pair_count(x)
-    n_pos = int((x > 0.0).sum())
-    return w_plus == float(pairs + n_pos)
+    if (x != 0.0).all():
+        w_plus, _, tie_term = _signed_rank(x)
+        if tie_term == 0.0:
+            return w_plus == float(_positive_pair_count(x) + int((x > 0.0).sum()))
+    raise TiesUnsupportedError("identity requires tie-free data without zeros")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,7 @@ def _wilcoxon_p_exact(w, n: int, sidedness: Sidedness):
 def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness, tie_term: float = 0.0):
     """Normal approximation with +-0.5 continuity correction.
 
-    ``tie_term`` (see :func:`_tie_term`) is subtracted from the untied null
+    ``tie_term`` (see :func:`_signed_rank`) is subtracted from the untied null
     variance n(n+1)(2n+1)/24.
     """
     mean = n * (n + 1) / 4.0
@@ -339,8 +341,7 @@ def wilcoxon_test(
     approximation otherwise.
     """
     x = as_sample(sample).values
-    w_plus, n_eff = wilcoxon_statistic(x)
-    tie_term = _tie_term(x[x != 0.0])
+    w_plus, n_eff, tie_term = _signed_rank(x)
     tied = tie_term > 0.0
 
     if mode is WilcoxonMode.EXACT:

@@ -21,7 +21,7 @@ from mixrank.power import (
     min_sample_size,
     power_ratio_surface,
 )
-from mixrank.rank_tests import Sidedness
+from mixrank.rank_tests import Sidedness, WilcoxonMode, wilcoxon_test
 from mixrank.streams import replication_rng
 
 
@@ -238,3 +238,141 @@ def test_empirical_are_overflow_reports_partial_rows():
     partial = excinfo.value.partial
     assert len(partial) == 1
     assert partial[0].theta == 0.5
+
+
+def test_chunk_rows_follow_element_budget(monkeypatch):
+    params = MixtureParams(0.4, 1.0, 1.0)
+    B, n = power._BLOCK, 30
+    cfg = config(nreps=5 * B + 17)
+    default = power._simulate_rejections(params, n, cfg, tuple(TestKind))
+    evaluate_t = power._EVALUATORS[TestKind.T]
+    rows_seen = []
+
+    def record(x, alpha, sidedness):
+        rows_seen.append(x.shape[0])
+        return evaluate_t(x, alpha, sidedness)
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    # A budget below one block still draws whole blocks; others round down to blocks.
+    for budget, rows in ((1, B), (2 * B * n + n, 2 * B), (4 * B * n - 1, 3 * B)):
+        rows_seen.clear()
+        monkeypatch.setattr(power, "_CHUNK_ELEMENTS", budget)
+        assert power._simulate_rejections(params, n, cfg, tuple(TestKind)) == default
+        assert rows_seen == [rows] * (cfg.nreps // rows) + [cfg.nreps % rows]
+
+
+def _block_with_edge_values(rng, rows, n):
+    """Rows of distinct magnitudes, with zeros, ties, large and subnormal values injected."""
+    x = rng.normal(0.2, 1.0, (rows, n))
+    x[0::7, 0] = 0.0
+    x[1::7, 3] = -0.0
+    x[2::7, 5] = -x[2::7, 1]  # opposite-sign tie
+    x[3::7, 2] = x[3::7, 4]  # same-sign tie
+    x[4::7] *= 2.0 ** rng.integers(1, 900, (len(x[4::7]), 1))  # exponent bits near the top
+    x[5::7, :4] = [5e-324, -1e-310, 2.2e-308, -3e-320]  # subnormals
+    x[6::7, :3] = [2.0, -2.0, 0.0]
+    x[7] = 0.0  # all zero: degenerate
+    x[8] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [12, 30])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = _block_with_edge_values(rng, 60, n)
+    expected_p = [
+        wilcoxon_test(row, sidedness, WilcoxonMode.AUTO).p_value if (row != 0.0).any() else None
+        for row in x
+    ]
+    slow_rows = []
+
+    def scalar_test(row, *args, **kwargs):
+        slow_rows.append(row)
+        return wilcoxon_test(row, *args, **kwargs)
+
+    monkeypatch.setattr(power, "wilcoxon_test", scalar_test)
+    alpha = 0.3
+    rejections, degenerate = power._wilcoxon_rejections(x, alpha, sidedness)
+    assert degenerate == expected_p.count(None)
+    assert rejections == sum(p is not None and p <= alpha for p in expected_p)
+    # Only rows with a zero or tied magnitudes (and not all zero) take the scalar path.
+    mags = np.sort(np.abs(x), axis=1)
+    slow = (mags[:, 0] == 0.0) | (mags[:, 1:] == mags[:, :-1]).any(axis=1)
+    assert len(slow_rows) == int(slow.sum()) - degenerate
+    # Row by row, the rejection threshold sits exactly at the scalar p-value.
+    for row, p in zip(x, expected_p):
+        if p is None:
+            continue
+        assert power._wilcoxon_rejections(row[None], p, sidedness) == (1, 0)
+        assert power._wilcoxon_rejections(row[None], np.nextafter(p, 0.0), sidedness) == (0, 0)
+
+
+def _separate_row(mu, sigma, theta, cfg, n_cap):
+    params = MixtureParams(theta, mu, sigma)
+    t = min_sample_size(TestKind.T, params, 0.8, cfg, n_cap)
+    w = min_sample_size(TestKind.WILCOXON, params, 0.8, cfg, n_cap)
+    return power.EmpiricalArePoint(theta, t.n_min, w.n_min, t.n_min / w.n_min, t, w)
+
+
+def _bracket_end(result):
+    return max(n for n, _ in result.search_trace if n & (n - 1) == 0)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, thetas, brackets",
+    [
+        (1.0, 0.5, [0.5], "same"),  # both brackets end at 32, then share bisection steps
+        (0.5, 0.05, [0.8, 0.6], "w lower"),  # at 0.6: W's bracket ends at 32, T's at 64
+        (3.0, 0.5, [0.5, 0.3], "t lower"),  # at 0.3: T's bracket ends at 32, W's at 64
+    ],
+)
+def test_empirical_are_equals_separate_searches(mu, sigma, thetas, brackets):
+    cfg = config(nreps=400, master_seed=1)
+    rows = empirical_are(mu, sigma, thetas, 0.8, cfg)
+    assert rows == [_separate_row(mu, sigma, theta, cfg, 1_000_000) for theta in thetas]
+    t_end, w_end = _bracket_end(rows[-1].t_search), _bracket_end(rows[-1].w_search)
+    assert {"same": t_end == w_end, "w lower": w_end < t_end, "t lower": t_end < w_end}[brackets]
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, thetas, overflowing",
+    [(0.5, 0.05, [0.8, 0.6], TestKind.T), (3.0, 0.5, [0.5, 0.3], TestKind.WILCOXON)],
+)
+def test_empirical_are_overflow_by_one_search_alone(mu, sigma, thetas, overflowing):
+    cfg, n_cap = config(nreps=400, master_seed=1), 32
+    params = MixtureParams(thetas[-1], mu, sigma)
+    for kind in TestKind:
+        if kind is overflowing:
+            with pytest.raises(SearchOverflowError) as alone:
+                min_sample_size(kind, params, 0.8, cfg, n_cap)
+        else:
+            min_sample_size(kind, params, 0.8, cfg, n_cap)  # completes within the cap
+    with pytest.raises(SearchOverflowError) as paired:
+        empirical_are(mu, sigma, thetas, 0.8, cfg, n_cap)
+    assert str(paired.value) == str(alone.value)
+    assert paired.value.partial == [_separate_row(mu, sigma, thetas[0], cfg, n_cap)]
+
+
+def test_empirical_are_draws_each_cell_once(monkeypatch):
+    calls = []
+    simulate = power._simulate_rejections
+
+    def record(params, n, config, kinds):
+        calls.append((params, n, kinds))
+        return simulate(params, n, config, kinds)
+
+    monkeypatch.setattr(power, "_simulate_rejections", record)
+    rows = empirical_are(1.0, 0.5, [0.5, 0.3], 0.8, config(nreps=400, master_seed=1))
+    cells = [(params, n) for params, n, _ in calls]
+    assert len(cells) == len(set(cells))
+    # Each test is evaluated on exactly the cells its own search probed.
+    evaluated = sorted((p.theta, n, kind.value) for p, n, kinds in calls for kind in kinds)
+    probed = sorted(
+        (row.theta, n, kind.value)
+        for row in rows
+        for kind, search in ((TestKind.T, row.t_search), (TestKind.WILCOXON, row.w_search))
+        for n, _ in search.search_trace
+    )
+    assert evaluated == probed
+    assert len(cells) < len(probed)  # the shared bracket steps were drawn once

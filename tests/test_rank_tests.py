@@ -21,6 +21,7 @@ from mixrank.rank_tests import (
     Sample,
     Sidedness,
     WilcoxonMode,
+    _signed_rank,
     exact_null_pmf,
     identity_check,
     t_statistic,
@@ -305,3 +306,86 @@ def test_wilcoxon_normal_approx_tie_corrected_matches_scipy(tenths, sidedness):
         correction=True, zero_method="wilcox",
     ).pvalue
     assert outcome.p_value == pytest.approx(float(expected), rel=1e-9, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles and invariants
+# ---------------------------------------------------------------------------
+
+_rounded = st.lists(st.integers(-40, 40), min_size=1, max_size=150).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tenths=_rounded)
+def test_signed_rank_matches_rankdata(tenths):
+    # Rounded data: zeros and tied magnitudes in most samples.
+    x = np.array(tenths) / 10.0
+    nz = x[x != 0.0]
+    w_plus, n_eff, tie_term = _signed_rank(x)
+    assert (w_plus, n_eff) == wilcoxon_statistic(x)
+    assert n_eff == nz.size
+    assert w_plus == scipy.stats.rankdata(np.abs(nz))[nz > 0.0].sum()
+    _, t = np.unique(np.abs(nz), return_counts=True)
+    assert tie_term == float((t**3 - t).sum()) / 48.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hundredths=st.lists(st.integers(-500, 500), min_size=2, max_size=60).filter(
+        lambda v: len(set(v)) > 1
+    ),
+    sidedness=st.sampled_from(list(Sidedness)),
+)
+def test_t_test_matches_scipy(hundredths, sidedness):
+    x = np.array(hundredths) / 100.0
+    outcome = t_test(x, sidedness)
+    expected = scipy.stats.ttest_1samp(x, 0.0, alternative=_SCIPY_ALTERNATIVE[sidedness])
+    assert outcome.statistic == pytest.approx(float(expected.statistic), rel=1e-12, abs=1e-12)
+    assert outcome.p_value == pytest.approx(float(expected.pvalue), rel=1e-9, abs=1e-300)
+
+
+_untied = st.lists(st.integers(1, 10**6), min_size=1, max_size=25, unique=True).flatmap(
+    lambda mags: st.lists(st.sampled_from([-1, 1]), min_size=len(mags), max_size=len(mags)).map(
+        lambda signs: np.array(mags) * np.array(signs) / 1000.0
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_untied)
+def test_wilcoxon_exact_matches_scipy(x):
+    p = {}
+    for side in Sidedness:
+        p[side] = wilcoxon_test(x, side, WilcoxonMode.EXACT).p_value
+        expected = scipy.stats.wilcoxon(x, alternative=_SCIPY_ALTERNATIVE[side], method="exact")
+        assert p[side] == pytest.approx(float(expected.pvalue), rel=1e-12, abs=0.0)
+    # the exact one-sided tails overlap in the point mass at the observed W+
+    w, n_eff = wilcoxon_statistic(x)
+    point = exact_null_pmf(n_eff).probability(int(w))
+    assert p[Sidedness.GREATER] + p[Sidedness.LESS] == pytest.approx(1.0 + point, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tenths=st.lists(st.integers(-40, 40), min_size=2, max_size=60).filter(
+        lambda v: len(set(v)) > 1 and any(v)
+    ),
+    log2_scale=st.integers(-6, 6),
+)
+def test_p_value_invariants(tenths, log2_scale):
+    x = np.array(tenths) / 10.0
+    scale = 2.0**log2_scale  # exact, so ranks and ties are unchanged
+    for test, exact in ((t_test, False), (wilcoxon_test, True)):
+        p = {side: test(x, side).p_value for side in Sidedness}
+        assert all(0.0 <= value <= 1.0 for value in p.values())
+        # sign flip swaps the one-sided tails and keeps the two-sided p-value
+        flipped = {side: test(-x, side).p_value for side in (Sidedness.LESS, Sidedness.TWO_SIDED)}
+        assert flipped[Sidedness.LESS] == pytest.approx(p[Sidedness.GREATER], rel=1e-12)
+        assert flipped[Sidedness.TWO_SIDED] == pytest.approx(p[Sidedness.TWO_SIDED], rel=1e-12)
+        scaled = test(x * scale, Sidedness.GREATER).p_value
+        if exact:
+            assert scaled == p[Sidedness.GREATER]
+        else:
+            assert scaled == pytest.approx(p[Sidedness.GREATER], rel=1e-12)
+    t_tails = t_test(x, Sidedness.GREATER).p_value + t_test(x, Sidedness.LESS).p_value
+    assert t_tails == pytest.approx(1.0, abs=1e-12)
