@@ -90,7 +90,11 @@ def cdf(params: MixtureParams, x):
 
 
 def sample(
-    params: MixtureParams, n: int, rng: np.random.Generator, rows: int | None = None
+    params: MixtureParams,
+    n: int,
+    rng: np.random.Generator,
+    rows: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``n`` independent observations from the mixture.
 
@@ -101,6 +105,11 @@ def sample(
     normals, both in row-major order, so a block is the reshaped output of
     ``rng.random(rows * n)`` followed by ``rng.standard_normal(rows * n)``.
     Output is bit-reproducible given the generator state.
+
+    ``out``, if given, is a C-contiguous float64 array of the draw's shape
+    (``(n,)`` or ``(rows, n)``), such as a row slice of a larger block; the
+    sample is written into it and it is returned.  Its contents do not
+    affect the draw.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
@@ -109,9 +118,13 @@ def sample(
         if not isinstance(rows, (int, np.integer)) or rows < 1:
             raise DomainError(f"row count must be a positive integer, got {rows}")
         shape = (rows, n)
-    u = rng.random(shape)
-    z = rng.standard_normal(shape)
-    return np.where(u < params.theta, params.mu + params.sigma * z, z)
+    hit = np.flatnonzero(rng.random(shape) < params.theta)
+    x = rng.standard_normal(shape, out=out)
+    # Scale only the contaminant draws, in place; the generator demands a
+    # C-contiguous ``out``, so the reshape is a view.
+    flat = x.reshape(-1)
+    flat[hit] = params.mu + params.sigma * flat[hit]
+    return x
 
 
 def moments(params: MixtureParams) -> tuple[float, float]:

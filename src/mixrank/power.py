@@ -12,8 +12,9 @@ sample depends only on (master seed, simulation cell, block index,
 replication count).  Per-cell results are integer rejection counts, so
 output is bit-identical for any worker count and for any evaluation chunk
 size that is a multiple of the block.  A chunk holds at most
-``_CHUNK_ELEMENTS`` sample values, or one block where a block alone holds
-more (n > 16384).
+``_CHUNK_ELEMENTS`` sample values (2 MiB of float64, sized to stay in a
+typical L2 cache), or one block where a block alone holds more (n > 1024).
+Each block is drawn straight into its rows of the chunk.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
@@ -44,7 +45,9 @@ from .streams import replication_rng, stream_key
 
 _BLOCK = 256  # replications per random stream; changing it changes every draw
 _CHUNK = 16 * _BLOCK  # most replications evaluated together; must be a multiple of _BLOCK
-_CHUNK_ELEMENTS = _CHUNK * 1024  # sample values per chunk (32 MiB of float64); binds above n = 1024
+# Sample values per chunk: 2 MiB of float64, so a chunk stays in a typical L2
+# cache.  It binds above n = 64, and above n = 1024 a chunk is one block.
+_CHUNK_ELEMENTS = _CHUNK * 64
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -218,7 +221,7 @@ def _simulate_rejections(
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             rng = replication_rng(config.master_seed, cell, start // _BLOCK)
-            x[start - lo : stop - lo] = draw_sample(params, n, rng, rows=stop - start)
+            draw_sample(params, n, rng, rows=stop - start, out=x[start - lo : stop - lo])
         return {
             kind: _EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds
         }
@@ -334,6 +337,8 @@ def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     if theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
+    if n_cap < 2:
+        raise DomainError(f"sample-size cap must be at least 2, got {n_cap}")
     trace: list[Probe] = []
 
     def accept(estimate: PowerEstimate) -> bool:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mixrank import __version__
+from mixrank import __version__, power
 from mixrank.cli import main
 from mixrank.efficiency import AreVariant, are, efficacy_t, efficacy_w
 from mixrank.errors import SearchOverflowError
@@ -245,6 +245,20 @@ def test_search_overflow_exits_4_with_partial_results(capsys):
     )
     assert code == 4
     assert json.loads(out)["partial_trace"]
+
+
+def test_search_cap_below_two_is_usage_error(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no cell may be simulated")
+
+    monkeypatch.setattr(power, "_simulate_rejections", refuse)
+    code, out, err = run_cli(
+        capsys, "nmin", "--test", "t", "--mu", "1", "--sigma", "1",
+        "--theta", "0.5", "--power", "0.8", "--nreps", "400", "--n-cap", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "cap must be at least 2" in err
 
 
 # ---------------------------------------------------------------------------

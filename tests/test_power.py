@@ -5,6 +5,7 @@ acceptance suite; these tests keep replication budgets small.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,56 @@ def test_chunk_rows_follow_element_budget(monkeypatch):
         monkeypatch.setattr(power, "_CHUNK_ELEMENTS", budget)
         assert power._simulate_rejections(params, n, cfg, tuple(TestKind)) == default
         assert rows_seen == [rows] * (cfg.nreps // rows) + [cfg.nreps % rows]
+
+
+def test_default_budget_chunks_stay_cache_sized(monkeypatch):
+    params = MixtureParams(0.4, 1.0, 1.0)
+    evaluate_t = power._EVALUATORS[TestKind.T]
+    rows_seen = []
+
+    def record(x, alpha, sidedness):
+        rows_seen.append(x.shape[0])
+        return evaluate_t(x, alpha, sidedness)
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    for n, nreps, rows in ((100, 2560 + 300, 2560), (1100, 2 * 256 + 88, 256)):
+        cfg = config(nreps=nreps)
+        rows_seen.clear()
+        default = power._simulate_rejections(params, n, cfg, tuple(TestKind))
+        assert rows_seen == [rows] * (nreps // rows) + [nreps % rows]
+        # A 32 MiB budget evaluates each of these cells as one chunk.
+        with monkeypatch.context() as old:
+            old.setattr(power, "_CHUNK_ELEMENTS", power._CHUNK * 1024)
+            rows_seen.clear()
+            assert power._simulate_rejections(params, n, cfg, tuple(TestKind)) == default
+            assert rows_seen == [nreps]
+
+
+def test_one_block_cell_peak_memory():
+    # Above the budget a chunk is one block; the draw and both evaluators
+    # should need little more than the block itself.
+    n, reps = 2**16, power._BLOCK
+    tracemalloc.start()
+    try:
+        power._simulate_rejections(
+            MixtureParams(0.9, 1.0, 1.0), n, config(nreps=reps), tuple(TestKind)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * reps * n * 8
+
+
+def test_sample_size_cap_below_two_draws_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no cell may be simulated")
+
+    monkeypatch.setattr(power, "_simulate_rejections", refuse)
+    cfg = config(nreps=400)
+    with pytest.raises(DomainError, match="cap must be at least 2"):
+        min_sample_size(TestKind.T, MixtureParams(0.5, 1.0, 1.0), 0.8, cfg, n_cap=1)
+    with pytest.raises(DomainError, match="cap must be at least 2"):
+        empirical_are(1.0, 1.0, [0.5], 0.8, cfg, n_cap=0)
 
 
 def _block_with_edge_values(rng, rows, n):
