@@ -9,7 +9,7 @@ surfaces differ by a factor of 3 (derived constant 3 vs. printed constant
 9), far larger than the Monte Carlo noise of the measured ratios.
 
 Budget note: each row runs two full bracket-and-bisect searches; with the
-demo settings this takes a minute or two.
+demo settings this takes about 1.5 s on a 2-vCPU Linux host.
 
 Run:  python demos/empirical_efficiency.py
 """

@@ -210,43 +210,33 @@ def _simulate_rejections(
     n: int,
     config: SimConfig,
     kinds: tuple[TestKind, ...],
-) -> dict[TestKind, tuple[int, int]]:
+) -> dict[TestKind, PowerEstimate]:
     cell = _simulation_cell_key(params, n)
     rows = max(_BLOCK, min(_CHUNK, _CHUNK_ELEMENTS // n // _BLOCK * _BLOCK))
     spans = [(lo, min(lo + rows, config.nreps)) for lo in range(0, config.nreps, rows)]
 
-    def run_span(span: tuple[int, int]) -> dict[TestKind, tuple[int, int]]:
+    def run_span(span: tuple[int, int]) -> np.ndarray:
         lo, hi = span
         x = np.empty((hi - lo, n))
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             rng = replication_rng(config.master_seed, cell, start // _BLOCK)
             draw_sample(params, n, rng, rows=stop - start, out=x[start - lo : stop - lo])
-        return {
-            kind: _EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds
-        }
+        return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
 
-    if config.max_parallelism > 1 and len(spans) > 1:
-        workers = min(config.max_parallelism, len(spans))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_span, spans))
-    else:
-        parts = [run_span(span) for span in spans]
+    # Every worker count takes this path; the counts are integers summed in
+    # span order, so they cannot depend on it.
+    with ThreadPoolExecutor(max_workers=min(config.max_parallelism, len(spans))) as pool:
+        totals = sum(pool.map(run_span, spans))
 
-    totals = {kind: (0, 0) for kind in kinds}
-    for part in parts:
-        for kind, (rej, degen) in part.items():
-            acc_rej, acc_degen = totals[kind]
-            totals[kind] = (acc_rej + rej, acc_degen + degen)
-    return totals
-
-
-def _estimate_from_counts(rejections: int, degenerate: int, nreps: int, kind: TestKind) -> PowerEstimate:
-    power = rejections / nreps
-    mc_se = math.sqrt(power * (1.0 - power) / nreps)
-    return PowerEstimate(
-        power=power, mc_se=mc_se, nreps=nreps, test_kind=kind, n_degenerate=degenerate
-    )
+    estimates = {}
+    for kind, (rejections, degenerate) in zip(kinds, totals.tolist()):
+        power = rejections / config.nreps
+        mc_se = math.sqrt(power * (1.0 - power) / config.nreps)
+        estimates[kind] = PowerEstimate(
+            power=power, mc_se=mc_se, nreps=config.nreps, test_kind=kind, n_degenerate=degenerate
+        )
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +254,7 @@ def estimate_power(
     """
     if n < 2:
         raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
-    rejections, degenerate = _simulate_rejections(params, int(n), config, (test_kind,))[test_kind]
-    return _estimate_from_counts(rejections, degenerate, config.nreps, test_kind)
+    return _simulate_rejections(params, int(n), config, (test_kind,))[test_kind]
 
 
 def estimate_size(test_kind: TestKind, n: int, config: SimConfig) -> PowerEstimate:
@@ -298,9 +287,8 @@ def power_ratio_surface(
     for theta in theta_axis:
         params = MixtureParams(theta, mu, sigma)
         for n in n_axis:
-            counts = _simulate_rejections(params, n, config, (TestKind.WILCOXON, TestKind.T))
-            est_w = _estimate_from_counts(*counts[TestKind.WILCOXON], config.nreps, TestKind.WILCOXON)
-            est_t = _estimate_from_counts(*counts[TestKind.T], config.nreps, TestKind.T)
+            estimates = _simulate_rejections(params, n, config, (TestKind.WILCOXON, TestKind.T))
+            est_w, est_t = estimates[TestKind.WILCOXON], estimates[TestKind.T]
             flagged = theta == 0.0 or est_t.power == 0.0 or est_t.power < 10.0 * est_t.mc_se
             ratio = est_w.power / est_t.power if est_t.power > 0.0 else math.nan
             rows.append(
@@ -329,9 +317,9 @@ def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
     """Bracket-then-bisect over n, driven from outside.
 
     Yields each n to probe and expects that probe's :class:`PowerEstimate`
-    sent back; returns ``(trace, n_min)``.  The bracket doubles from 2, so
-    two searches driven in step ask for the same n until they part, and
-    their intervals never overlap again after that.
+    sent back; returns the :class:`SampleSizeResult`.  The bracket doubles
+    from 2, so two searches driven in step ask for the same n until they
+    part, and their intervals never overlap again after that.
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
@@ -346,29 +334,24 @@ def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
         return _meets_target(estimate, target_power)
 
     lo, n = 1, 2
-    while not accept((yield n)):
+    while not accept(estimate := (yield n)):
         lo, n = n, n * 2
         if n > n_cap:
             raise SearchOverflowError(
                 f"sample-size bracket exceeded {n_cap} for theta={theta}", partial=trace
             )
-    hi = n
+    hi, final = n, estimate
     while hi - lo > 1:
         n = (lo + hi) // 2
-        if accept((yield n)):
-            hi = n
+        if accept(estimate := (yield n)):
+            hi, final = n, estimate
         else:
             lo = n
-    return trace, hi
-
-
-def _search_result(trace: list[Probe], n_min: int) -> SampleSizeResult:
-    final = next(probe.estimate for probe in trace if probe.n == n_min)
     ci = (
         max(0.0, final.power - _Z99 * final.mc_se),
         min(1.0, final.power + _Z99 * final.mc_se),
     )
-    return SampleSizeResult(n_min=n_min, achieved_power_ci=ci, search_trace=trace)
+    return SampleSizeResult(n_min=hi, achieved_power_ci=ci, search_trace=trace)
 
 
 def _sample_size_searches(
@@ -390,13 +373,12 @@ def _sample_size_searches(
     while asked:
         for n in sorted(set(asked.values())):
             step = tuple(kind for kind in asked if asked[kind] == n)
-            counts = _simulate_rejections(params, n, config, step)
+            estimates = _simulate_rejections(params, n, config, step)
             for kind in step:
-                estimate = _estimate_from_counts(*counts[kind], config.nreps, kind)
                 try:
-                    asked[kind] = searches[kind].send(estimate)
+                    asked[kind] = searches[kind].send(estimates[kind])
                 except StopIteration as done:
-                    results[kind] = _search_result(*done.value)
+                    results[kind] = done.value
                     del asked[kind]
     return results
 

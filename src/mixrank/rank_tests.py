@@ -121,12 +121,12 @@ def t_test(sample, sidedness: Sidedness = Sidedness.TWO_SIDED) -> TestOutcome:
     every sample size (not a normal approximation), so small-n power
     simulations keep their nominal size.
     """
-    x = as_sample(sample).values
-    stat = t_statistic(x)
-    p = float(_t_p_value(stat, x.size - 1, sidedness))
+    data = as_sample(sample)
+    stat = t_statistic(data)
+    p = float(_t_p_value(stat, len(data) - 1, sidedness))
     return TestOutcome(
         statistic=stat,
-        n_effective=int(x.size),
+        n_effective=len(data),
         p_value=p,
         sidedness=sidedness,
         method=Method.STUDENT_T,
@@ -249,13 +249,20 @@ class NullPmf:
             raise DomainError(f"{k} is outside the support 0..{self.support_max}")
         return self.counts[k] / (1 << self.n)
 
+    def _support_index(self, k):
+        arr = np.asarray(k)
+        outside = arr[(arr < 0) | (arr > self.support_max)]
+        if outside.size:
+            raise DomainError(f"{outside.flat[0]} is outside the support 0..{self.support_max}")
+        return k
+
     def cdf(self, k):
         """P(W+ <= k); accepts integer scalars or arrays inside the support."""
-        return self._cdf[k]
+        return self._cdf[self._support_index(k)]
 
     def sf(self, k):
         """P(W+ >= k); accepts integer scalars or arrays inside the support."""
-        return self._sf[k]
+        return self._sf[self._support_index(k)]
 
     def exact_mean(self) -> Fraction:
         total = sum(k * c for k, c in enumerate(self.counts))

@@ -39,10 +39,9 @@ def stream_key(*parts) -> int:
 
 def replication_rng(master_seed: int, cell_key: int, block: int) -> np.random.Generator:
     """Generator for one block of replications of one simulation cell."""
-    key = stream_key(master_seed, cell_key, block)
-    return np.random.Generator(np.random.Philox(key=key))
+    return seeded_rng(master_seed, cell_key, block)
 
 
 def seeded_rng(master_seed: int, *labels) -> np.random.Generator:
-    """Standalone generator for a named, single-stream computation."""
+    """Generator keyed by ``(master_seed, *labels)``; every mixrank stream is built here."""
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *labels)))

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,23 @@ def test_are_text_output(capsys):
     assert code == 0
     assert "are 0.812760368" in out
     assert "efficacy_w" in out and "efficacy_t" in out
+
+
+@pytest.mark.parametrize("module", ["mixrank", "mixrank.cli"])
+def test_python_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True
+        )
+
+    done = run("are", "--mu", "1", "--sigma", "1")
+    assert done.returncode == 0
+    assert done.stdout.startswith("are 0.812760368\n")
+    usage = run("are", "--mu", "1")
+    assert usage.returncode == 2
+    assert usage.stdout == "" and "required: --sigma" in usage.stderr
 
 
 def test_are_printed_is_three_times_derived(capsys):

@@ -82,6 +82,23 @@ def test_t_test_examples():
     assert greater.p_value == pytest.approx(0.03708995011372427, abs=1e-10)
 
 
+def test_t_test_validates_its_sample_once(monkeypatch):
+    built = []
+    init = Sample.__init__
+
+    def counting_init(self, values):
+        built.append(values)
+        init(self, values)
+
+    monkeypatch.setattr(Sample, "__init__", counting_init)
+    t_test([1.0, 2.0, 4.0])
+    assert len(built) == 1
+    given = Sample([1.0, 2.0, 4.0])
+    built.clear()
+    assert t_test(given) == t_test([1.0, 2.0, 4.0])
+    assert len(built) == 1  # only the list is validated
+
+
 def test_t_test_tail_complementarity():
     rng = seeded_rng(41, "t-tails")
     for _ in range(25):
@@ -227,6 +244,16 @@ def test_null_pmf_tail_lookups():
     assert pmf.sf(8) == pytest.approx(3 / 16, abs=0)
     assert pmf.cdf(2) == pytest.approx(3 / 16, abs=0)
     np.testing.assert_allclose(pmf.sf(np.array([0, 10])), [1.0, 1 / 16])
+
+
+def test_null_pmf_tail_lookups_refuse_outside_support():
+    pmf = exact_null_pmf(3)  # support 0..6
+    assert pmf.sf(6) == pmf.cdf(0) == 1 / 8
+    for lookup in (pmf.cdf, pmf.sf):
+        for k in (-1, 7, np.int64(-1), np.array([0, 3, 7]), np.array([-1, 2])):
+            with pytest.raises(DomainError, match="outside the support 0..6"):
+                lookup(k)
+        np.testing.assert_array_equal(lookup(np.array([0, 6])), [lookup(0), lookup(6)])
 
 
 # ---------------------------------------------------------------------------
