@@ -20,7 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .efficiency import AreVariant, are, dominance_grid, efficacy_t, efficacy_w
-from .errors import DataFileError, DomainError, MixrankError, SearchOverflowError
+from .errors import (
+    DataFileError,
+    DomainError,
+    InsufficientDataError,
+    MixrankError,
+    SearchOverflowError,
+)
 from .mixture import MixtureParams
 from .power import (
     SimConfig,
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--power", type=float, required=True, help="target power")
     _add_sim_flags(p)
-    p.add_argument("--n-cap", type=int, default=1_000_000, help="search budget on n")
+    p.add_argument("--n-cap", type=int, default=1_000_000, help="largest n a search probes")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_nmin)
 
@@ -347,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--power", type=float, required=True, help="target power")
     _add_sim_flags(p)
-    p.add_argument("--n-cap", type=int, default=1_000_000, help="search budget on n")
+    p.add_argument("--n-cap", type=int, default=1_000_000, help="largest n a search probes")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_emp_are)
 
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
     except SearchOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
+    except (DomainError, InsufficientDataError) as exc:
         # Bad flag values are usage errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,7 +94,6 @@ def sample(
     n: int,
     rng: np.random.Generator,
     rows: int | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``n`` independent observations from the mixture.
 
@@ -105,11 +104,6 @@ def sample(
     normals, both in row-major order, so a block is the reshaped output of
     ``rng.random(rows * n)`` followed by ``rng.standard_normal(rows * n)``.
     Output is bit-reproducible given the generator state.
-
-    ``out``, if given, is a C-contiguous float64 array of the draw's shape
-    (``(n,)`` or ``(rows, n)``), such as a row slice of a larger block; the
-    sample is written into it and it is returned.  Its contents do not
-    affect the draw.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
@@ -119,9 +113,7 @@ def sample(
             raise DomainError(f"row count must be a positive integer, got {rows}")
         shape = (rows, n)
     hit = np.flatnonzero(rng.random(shape) < params.theta)
-    x = rng.standard_normal(shape, out=out)
-    # Scale only the contaminant draws, in place; the generator demands a
-    # C-contiguous ``out``, so the reshape is a view.
+    x = rng.standard_normal(shape)
     flat = x.reshape(-1)
     flat[hit] = params.mu + params.sigma * flat[hit]
     return x

@@ -6,15 +6,14 @@ minimal sample sizes for a target power, and approximates the asymptotic
 relative efficiency as the ratio of minimal sample sizes along a mixing
 proportion schedule shrinking toward the null.
 
-Reproducibility contract: replications are drawn in fixed blocks of
-``_BLOCK``, one Philox stream and one batched draw per block, so every
-sample depends only on (master seed, simulation cell, block index,
-replication count).  Per-cell results are integer rejection counts, so
-output is bit-identical for any worker count and for any evaluation chunk
-size that is a multiple of the block.  A chunk holds at most
-``_CHUNK_ELEMENTS`` sample values (2 MiB of float64, sized to stay in a
-typical L2 cache), or one block where a block alone holds more (n > 1024).
-Each block is drawn straight into its rows of the chunk.
+Reproducibility contract: a cell's replications are cut into blocks of
+``_block_rows(n)`` rows, a count that depends on the sample size n alone.
+Each block gets one Philox stream, one batched draw, one evaluation and one
+pool task, so every sample depends only on (master seed, simulation cell,
+block index, replication count).  Per-cell results are integer rejection
+counts, so output is bit-identical for any worker count.  A block holds at
+most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), or one row where a
+row alone holds more (n > 2**17).
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
@@ -43,11 +42,12 @@ from .rank_tests import (
 )
 from .streams import replication_rng, stream_key
 
-_BLOCK = 256  # replications per random stream; changing it changes every draw
-_CHUNK = 16 * _BLOCK  # most replications evaluated together; must be a multiple of _BLOCK
-# Sample values per chunk: 2 MiB of float64, so a chunk stays in a typical L2
-# cache.  It binds above n = 64, and above n = 1024 a chunk is one block.
-_CHUNK_ELEMENTS = _CHUNK * 64
+_BLOCK_ROWS = 4096  # most replications per block
+# Sample values per block: 1 MiB of float64, so a block and the two or three
+# block-sized temporaries of an evaluator stay near a 2 MiB L2 cache (on such
+# a host 2 MiB blocks ran 10-15% slower per element).  It binds above n = 32,
+# and above n = 2**16 a block is one row.
+_BLOCK_ELEMENTS = 1 << 17
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -137,7 +137,7 @@ class EmpiricalArePoint:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-chunk test evaluation
+# vectorized per-block test evaluation
 # ---------------------------------------------------------------------------
 
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
@@ -199,6 +199,11 @@ _EVALUATORS = {
 }
 
 
+def _block_rows(n: int) -> int:
+    """Replications per block of a cell of sample size ``n``; changing it changes every draw."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // n))
+
+
 def _simulation_cell_key(params: MixtureParams, n: int) -> int:
     # Samples are keyed by the data-generating process only, never by the
     # test applied to them, so both tests see identical draws.
@@ -212,22 +217,18 @@ def _simulate_rejections(
     kinds: tuple[TestKind, ...],
 ) -> dict[TestKind, PowerEstimate]:
     cell = _simulation_cell_key(params, n)
-    rows = max(_BLOCK, min(_CHUNK, _CHUNK_ELEMENTS // n // _BLOCK * _BLOCK))
-    spans = [(lo, min(lo + rows, config.nreps)) for lo in range(0, config.nreps, rows)]
+    rows = _block_rows(n)
+    starts = range(0, config.nreps, rows)
 
-    def run_span(span: tuple[int, int]) -> np.ndarray:
-        lo, hi = span
-        x = np.empty((hi - lo, n))
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            rng = replication_rng(config.master_seed, cell, start // _BLOCK)
-            draw_sample(params, n, rng, rows=stop - start, out=x[start - lo : stop - lo])
+    def run_block(start: int) -> np.ndarray:
+        rng = replication_rng(config.master_seed, cell, start // rows)
+        x = draw_sample(params, n, rng, rows=min(rows, config.nreps - start))
         return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
 
     # Every worker count takes this path; the counts are integers summed in
-    # span order, so they cannot depend on it.
-    with ThreadPoolExecutor(max_workers=min(config.max_parallelism, len(spans))) as pool:
-        totals = sum(pool.map(run_span, spans))
+    # block order, so they cannot depend on it.
+    with ThreadPoolExecutor(max_workers=min(config.max_parallelism, len(starts))) as pool:
+        totals = sum(pool.map(run_block, starts))
 
     estimates = {}
     for kind, (rejections, degenerate) in zip(kinds, totals.tolist()):
@@ -318,8 +319,9 @@ def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
 
     Yields each n to probe and expects that probe's :class:`PowerEstimate`
     sent back; returns the :class:`SampleSizeResult`.  The bracket doubles
-    from 2, so two searches driven in step ask for the same n until they
-    part, and their intervals never overlap again after that.
+    from 2 and stops at ``n_cap``, so two searches driven in step ask for
+    the same n until they part, and their intervals never overlap again
+    after that.
     """
     if not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
@@ -335,11 +337,11 @@ def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
 
     lo, n = 1, 2
     while not accept(estimate := (yield n)):
-        lo, n = n, n * 2
-        if n > n_cap:
+        if n == n_cap:
             raise SearchOverflowError(
                 f"sample-size bracket exceeded {n_cap} for theta={theta}", partial=trace
             )
+        lo, n = n, min(2 * n, n_cap)
     hi, final = n, estimate
     while hi - lo > 1:
         n = (lo + hi) // 2
@@ -396,6 +398,9 @@ def min_sample_size(
     true power is nondecreasing in n.  Acceptance at each probe requires the
     99% lower confidence bound of the estimate to reach
     ``target_power - 0.01``; every probe is recorded in the trace.
+    ``n_cap`` is the largest n probed: the bracket's last step is ``n_cap``
+    itself, and :class:`SearchOverflowError` is raised only when the
+    estimate there misses the target.
     """
     return _sample_size_searches((test_kind,), params, target_power, config, n_cap)[test_kind]
 

@@ -2,10 +2,10 @@
 
 Every block of consecutive simulation replications owns a Philox
 counter-based stream whose 128-bit key is a hash of ``(master seed, cell key,
-block index)``; the block size is fixed by the Monte Carlo lab, never by its
-worker count.  Streams are therefore independent by construction, any block
-can be regenerated in isolation, and results cannot depend on worker count,
-chunking or scheduling order.
+block index)``; the Monte Carlo lab sizes a block by the cell's sample size
+alone, never by its worker count.  Streams are therefore independent by
+construction, any block can be regenerated in isolation, and results cannot
+depend on worker count or scheduling order.
 """
 
 import hashlib

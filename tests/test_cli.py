@@ -208,6 +208,15 @@ def test_curve_malformed_theta_list(capsys):
     capsys.readouterr()
 
 
+def test_curve_sample_size_below_two_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "curve", "--mu", "1", "--sigma", "1", "--theta", "0.5", "--n", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "n >= 2" in err
+
+
 # ---------------------------------------------------------------------------
 # nmin / emp-are
 # ---------------------------------------------------------------------------

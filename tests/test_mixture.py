@@ -178,24 +178,6 @@ def test_sample_bit_identical_to_where_select(theta, mu, sigma):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_sample_into_row_slice_of_larger_array():
-    p = MixtureParams(0.5, -0.7, 2.5)
-    sentinel = -123.0
-    block = np.full((9, 11), sentinel)
-    out = block[2:7]
-    got = sample(p, 11, seeded_rng(5, "out"), rows=5, out=out)
-    assert got is out
-    want = _where_draw(p, seeded_rng(5, "out"), (5, 11))
-    np.testing.assert_array_equal(block[2:7].view(np.uint64), want.view(np.uint64))
-    assert (block[:2] == sentinel).all() and (block[7:] == sentinel).all()
-    # a 1-D draw into a row
-    row = sample(p, 11, seeded_rng(5, "row"), out=block[0])
-    assert row.base is block
-    np.testing.assert_array_equal(
-        block[0].view(np.uint64), _where_draw(p, seeded_rng(5, "row"), 11).view(np.uint64)
-    )
-
-
 def test_sample_null_mean_lln():
     draws = sample(MixtureParams(0.0, 0.0, 1.0), 10**6, seeded_rng(11, "lln-null"))
     assert abs(draws.mean()) <= 4.0 / 1000.0

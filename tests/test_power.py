@@ -58,31 +58,34 @@ def test_estimate_power_deterministic_across_parallelism():
     assert serial == again
 
 
-def test_counts_identical_across_chunk_sizes(monkeypatch):
+def test_counts_identical_across_threads_with_one_row_blocks():
     params = MixtureParams(0.4, 1.0, 1.0)
-    cfg = config(nreps=3 * power._BLOCK + 17)  # ends in a partial block
-    default = power._simulate_rejections(params, 30, cfg, tuple(TestKind))
-    for blocks in (1, 2):
-        monkeypatch.setattr(power, "_CHUNK", blocks * power._BLOCK)
-        assert power._simulate_rejections(params, 30, cfg, tuple(TestKind)) == default
+    n = 2**16 + 1
+    assert power._block_rows(n) == 1
+    serial = power._simulate_rejections(params, n, config(nreps=5), tuple(TestKind))
+    pooled = power._simulate_rejections(
+        params, n, config(nreps=5, max_parallelism=2), tuple(TestKind)
+    )
+    assert serial == pooled
 
 
 def test_block_regenerates_alone(monkeypatch):
     params = MixtureParams(0.4, 1.0, 1.0)
-    n, cfg = 12, config(nreps=3 * power._BLOCK + 17)
-    chunks = []
+    n = 100
+    B = power._block_rows(n)
+    cfg = config(nreps=3 * B + 17)  # ends in a partial block
+    blocks = []
 
     def record(x, alpha, sidedness):
-        chunks.append(x.copy())
+        blocks.append(x.copy())
         return 0, 0
 
     monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
     power._simulate_rejections(params, n, cfg, (TestKind.T,))
-    full = np.concatenate(chunks)
+    full = np.concatenate(blocks)
     assert full.shape == (cfg.nreps, n)
 
     cell = power._simulation_cell_key(params, n)
-    B = power._BLOCK
     for b in (1, 3):
         rows = min(B, cfg.nreps - b * B)
         alone = sample(params, n, replication_rng(cfg.master_seed, cell, b), rows=rows)
@@ -206,6 +209,17 @@ def test_min_sample_size_validation_and_overflow():
     assert excinfo.value.partial  # probes are reported, not discarded
 
 
+def test_search_probes_the_cap_itself():
+    params, cfg = MixtureParams(0.5, 0.2, 1.0), config(nreps=1000, master_seed=1)
+    result = min_sample_size(TestKind.T, params, 0.8, cfg, n_cap=1000)
+    probed = [n for n, _ in result.search_trace]
+    assert probed[: probed.index(1000) + 1] == [2**k for k in range(1, 10)] + [1000]
+    assert 512 < result.n_min <= 1000
+    with pytest.raises(SearchOverflowError) as excinfo:
+        min_sample_size(TestKind.T, params, 0.8, cfg, n_cap=600)
+    assert [n for n, _ in excinfo.value.partial] == [2**k for k in range(1, 10)] + [600]
+
+
 def test_empirical_are_schedule_validation():
     cfg = config(nreps=400)
     with pytest.raises(DomainError):
@@ -241,28 +255,14 @@ def test_empirical_are_overflow_reports_partial_rows():
     assert partial[0].theta == 0.5
 
 
-def test_chunk_rows_follow_element_budget(monkeypatch):
-    params = MixtureParams(0.4, 1.0, 1.0)
-    B, n = power._BLOCK, 30
-    cfg = config(nreps=5 * B + 17)
-    default = power._simulate_rejections(params, n, cfg, tuple(TestKind))
-    evaluate_t = power._EVALUATORS[TestKind.T]
-    rows_seen = []
-
-    def record(x, alpha, sidedness):
-        rows_seen.append(x.shape[0])
-        return evaluate_t(x, alpha, sidedness)
-
-    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
-    # A budget below one block still draws whole blocks; others round down to blocks.
-    for budget, rows in ((1, B), (2 * B * n + n, 2 * B), (4 * B * n - 1, 3 * B)):
-        rows_seen.clear()
-        monkeypatch.setattr(power, "_CHUNK_ELEMENTS", budget)
-        assert power._simulate_rejections(params, n, cfg, tuple(TestKind)) == default
-        assert rows_seen == [rows] * (cfg.nreps // rows) + [cfg.nreps % rows]
+def test_block_rows_depend_on_n_alone():
+    # 1 MiB of float64 per block, at most 4096 rows and at least one.
+    table = {1: 4096, 32: 4096, 33: 3971, 64: 2048, 65: 2016, 100: 1310, 1000: 131}
+    table.update({2**16: 2, 2**16 + 1: 1, 2**19: 1})
+    assert {n: power._block_rows(n) for n in table} == table
 
 
-def test_default_budget_chunks_stay_cache_sized(monkeypatch):
+def test_evaluator_sees_whole_blocks_then_the_rest(monkeypatch):
     params = MixtureParams(0.4, 1.0, 1.0)
     evaluate_t = power._EVALUATORS[TestKind.T]
     rows_seen = []
@@ -272,32 +272,26 @@ def test_default_budget_chunks_stay_cache_sized(monkeypatch):
         return evaluate_t(x, alpha, sidedness)
 
     monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
-    for n, nreps, rows in ((100, 2560 + 300, 2560), (1100, 2 * 256 + 88, 256)):
-        cfg = config(nreps=nreps)
+    for n, k, rest in ((30, 2, 300), (1000, 3, 17)):
+        rows = power._block_rows(n)
         rows_seen.clear()
-        default = power._simulate_rejections(params, n, cfg, tuple(TestKind))
-        assert rows_seen == [rows] * (nreps // rows) + [nreps % rows]
-        # A 32 MiB budget evaluates each of these cells as one chunk.
-        with monkeypatch.context() as old:
-            old.setattr(power, "_CHUNK_ELEMENTS", power._CHUNK * 1024)
-            rows_seen.clear()
-            assert power._simulate_rejections(params, n, cfg, tuple(TestKind)) == default
-            assert rows_seen == [nreps]
+        power._simulate_rejections(params, n, config(nreps=k * rows + rest), tuple(TestKind))
+        assert rows_seen == [rows] * k + [rest]
 
 
 def test_one_block_cell_peak_memory():
-    # Above the budget a chunk is one block; the draw and both evaluators
-    # should need little more than the block itself.
-    n, reps = 2**16, power._BLOCK
-    tracemalloc.start()
-    try:
-        power._simulate_rejections(
-            MixtureParams(0.9, 1.0, 1.0), n, config(nreps=reps), tuple(TestKind)
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * reps * n * 8
+    # The draw and both evaluators of one block should need little more than
+    # the block itself, however large n is.
+    for n, reps in ((2**16, 256), (2**19, 3)):
+        tracemalloc.start()
+        try:
+            power._simulate_rejections(
+                MixtureParams(0.9, 1.0, 1.0), n, config(nreps=reps), tuple(TestKind)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * power._block_rows(n) * n * 8
 
 
 def test_sample_size_cap_below_two_draws_nothing(monkeypatch):
