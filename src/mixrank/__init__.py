@@ -10,7 +10,7 @@ minimal sample sizes, and the empirical efficiency oracle
 subcommands.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .efficiency import (
     AreVariant,

@@ -8,7 +8,7 @@ proportion schedule shrinking toward the null.
 
 Reproducibility contract: a cell's replications are cut into blocks of
 ``_block_rows(n)`` rows, a count that depends on the sample size n alone.
-Each block gets one Philox stream, one batched draw, one evaluation and one
+Each block gets one SFC64 stream, one batched draw, one evaluation and one
 pool task, so every sample depends only on (master seed, simulation cell,
 block index, replication count).  Per-cell results are integer rejection
 counts, so output is bit-identical for any worker count.  A block holds at

@@ -1,11 +1,17 @@
 """Deterministic, splittable random streams for parallel Monte Carlo.
 
-Every block of consecutive simulation replications owns a Philox
-counter-based stream whose 128-bit key is a hash of ``(master seed, cell key,
-block index)``; the Monte Carlo lab sizes a block by the cell's sample size
-alone, never by its worker count.  Streams are therefore independent by
-construction, any block can be regenerated in isolation, and results cannot
-depend on worker count or scheduling order.
+Every block of consecutive simulation replications owns an SFC64 stream
+seeded with a 128-bit hash of ``(master seed, cell key, block index)``; the
+Monte Carlo lab sizes a block by the cell's sample size alone, never by its
+worker count.  Any block can therefore be regenerated in isolation, and
+results cannot depend on worker count or scheduling order.
+
+SFC64 is chosen by measurement: a mixture block takes about a third less
+time to draw than under Philox.  The price is how streams are kept apart.
+Philox streams are distinct by key, by construction of the counter-based
+generator; SFC64 streams are separated by numpy's SeedSequence hashing of
+the key into the generator's state, so two keys give unrelated but not
+provably disjoint streams.
 """
 
 import hashlib
@@ -44,4 +50,4 @@ def replication_rng(master_seed: int, cell_key: int, block: int) -> np.random.Ge
 
 def seeded_rng(master_seed: int, *labels) -> np.random.Generator:
     """Generator keyed by ``(master_seed, *labels)``; every mixrank stream is built here."""
-    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *labels)))
+    return np.random.Generator(np.random.SFC64(stream_key(master_seed, *labels)))

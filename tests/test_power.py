@@ -92,11 +92,22 @@ def test_block_regenerates_alone(monkeypatch):
         np.testing.assert_array_equal(alone, full[b * B : b * B + rows])
 
 
-def test_estimate_power_seed_sensitivity():
+def test_estimate_power_seed_sensitivity(monkeypatch):
+    # The seed picks the streams.  Two seeds' powers can still coincide, so
+    # compare what was drawn.
     params = MixtureParams(0.4, 1.0, 1.0)
-    a = estimate_power(TestKind.T, params, 35, config(master_seed=1))
-    b = estimate_power(TestKind.T, params, 35, config(master_seed=2))
-    assert a.power != b.power  # different streams, overwhelmingly
+    blocks = []
+
+    def record(x, alpha, sidedness):
+        blocks.append(x.copy())
+        return 0, 0
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    for seed in (1, 2):
+        estimate_power(TestKind.T, params, 35, config(master_seed=seed))
+    assert len(blocks) == 4  # two blocks per seed
+    for a, b in zip(blocks[:2], blocks[2:]):
+        assert not np.array_equal(a, b)
 
 
 def test_mc_se_consistency():
@@ -369,7 +380,7 @@ def _bracket_end(result):
     [
         (1.0, 0.5, [0.5], "same"),  # both brackets end at 32, then share bisection steps
         (0.5, 0.05, [0.8, 0.6], "w lower"),  # at 0.6: W's bracket ends at 32, T's at 64
-        (3.0, 0.5, [0.5, 0.3], "t lower"),  # at 0.3: T's bracket ends at 32, W's at 64
+        (5.0, 2.0, [0.5, 0.3], "t lower"),  # at 0.3: T's bracket ends at 32, W's at 64
     ],
 )
 def test_empirical_are_equals_separate_searches(mu, sigma, thetas, brackets):
@@ -382,7 +393,7 @@ def test_empirical_are_equals_separate_searches(mu, sigma, thetas, brackets):
 
 @pytest.mark.parametrize(
     "mu, sigma, thetas, overflowing",
-    [(0.5, 0.05, [0.8, 0.6], TestKind.T), (3.0, 0.5, [0.5, 0.3], TestKind.WILCOXON)],
+    [(0.5, 0.05, [0.8, 0.6], TestKind.T), (5.0, 2.0, [0.5, 0.3], TestKind.WILCOXON)],
 )
 def test_empirical_are_overflow_by_one_search_alone(mu, sigma, thetas, overflowing):
     cfg, n_cap = config(nreps=400, master_seed=1), 32
