@@ -12,8 +12,9 @@ Run:  python demos/exact_null_distribution.py
 
 import math
 
+from scipy.special import ndtr
+
 from mixrank import exact_null_pmf
-from mixrank.normal import normal_sf
 
 # --- the table for n = 6 ----------------------------------------------------
 pmf = exact_null_pmf(6)
@@ -44,6 +45,6 @@ for n in (10, 20, 40, 60):
     exact_p = float(table.sf(k_star))
     mean = n * (n + 1) / 4.0
     sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
-    approx_p = float(normal_sf((k_star - 0.5 - mean) / sd))
+    approx_p = float(ndtr(-(k_star - 0.5 - mean) / sd))
     print(f"  n={n:2d}, W+={k_star:4d}: exact {exact_p:.5f}  normal {approx_p:.5f}"
           f"  diff {abs(exact_p - approx_p):.5f}")

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .mixture import xi_w_slope_at_null
+from .mixture import _check_mu_sigma, xi_w_slope_at_null
 
 _NULL_SD_W = math.sqrt(1.0 / 3.0)
 _BOUNDARY_TOL = 1e-9
@@ -52,20 +52,14 @@ class AreVariant(Enum):
         return 3.0 if self is AreVariant.EFFICACY_DERIVED else 9.0
 
 
-def _check_sigma(sigma: float) -> None:
-    if not sigma > 0.0:
-        raise DomainError(f"component sd must be positive, got {sigma}")
-
-
 def efficacy_t(mu: float, sigma: float) -> Efficacy:
     """Efficacy of the t statistic: slope mu, null sd 1."""
-    _check_sigma(sigma)
+    _check_mu_sigma(mu, sigma)
     return Efficacy(slope=float(mu), null_sd=1.0, efficacy=float(mu) / 1.0)
 
 
 def efficacy_w(mu: float, sigma: float) -> Efficacy:
     """Efficacy of the signed-rank statistic via its U-statistic form."""
-    _check_sigma(sigma)
     slope = xi_w_slope_at_null(mu, sigma)
     return Efficacy(slope=slope, null_sd=_NULL_SD_W, efficacy=slope / _NULL_SD_W)
 
@@ -81,7 +75,7 @@ def are(mu: float, sigma: float, variant: AreVariant = AreVariant.EFFICACY_DERIV
     The printed variant is computed as exactly three times the derived one,
     so the two surfaces stay in exact ratio.
     """
-    _check_sigma(sigma)
+    _check_mu_sigma(mu, sigma)
     if mu == 0.0:
         derived = (6.0 / math.pi) / (1.0 + sigma * sigma)
     else:
@@ -122,6 +116,8 @@ def dominance_grid(
         raise DomainError("axis ranges must be nonempty (lo <= hi)")
     if sigma_lo <= 0.0:
         raise DomainError("sigma range must be strictly positive")
+    if not all(map(math.isfinite, (mu_lo, mu_hi, sigma_lo, sigma_hi))):
+        raise DomainError("axis range ends must be finite")
     mu_axis = np.linspace(mu_lo, mu_hi, steps_mu)
     sigma_axis = np.linspace(sigma_lo, sigma_hi, steps_sigma)
     values = np.empty((steps_mu, steps_sigma))
@@ -144,7 +140,6 @@ def dominance_boundary(
     when the limit exceeds 1.  Bisection refines until |are - 1| <= 1e-9.
     Returns ``None`` when the signed-rank test never reaches parity.
     """
-    _check_sigma(sigma)
     if are(0.0, sigma, variant) <= 1.0:
         return None
     lo = 1e-8

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError
-from .normal import normal_cdf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -42,12 +42,11 @@ class MixtureParams:
 
     def __post_init__(self):
         theta, mu, sigma = float(self.theta), float(self.mu), float(self.sigma)
-        if not (math.isfinite(theta) and math.isfinite(mu) and math.isfinite(sigma)):
+        if not math.isfinite(theta):
             raise DomainError("mixture parameters must be finite")
+        _check_mu_sigma(mu, sigma)
         if not 0.0 <= theta <= 1.0:
             raise DomainError(f"mixing proportion must lie in [0, 1], got {theta}")
-        if sigma <= 0.0:
-            raise DomainError(f"component sd must be positive, got {sigma}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -55,9 +54,17 @@ class MixtureParams:
     @classmethod
     def from_variance(cls, theta: float, mu: float, variance: float) -> "MixtureParams":
         """Build params for a contaminant specified as N(mu, variance)."""
-        if not (isinstance(variance, (int, float)) and variance > 0.0):
+        if not variance > 0.0:
             raise DomainError(f"component variance must be positive, got {variance}")
         return cls(theta, mu, math.sqrt(variance))
+
+
+def _check_mu_sigma(mu: float, sigma: float) -> None:
+    """The one rule on a contaminant's (mu, sigma): both finite, sigma positive."""
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise DomainError("mixture parameters must be finite")
+    if not sigma > 0.0:
+        raise DomainError(f"component sd must be positive, got {sigma}")
 
 
 def _phi(z):
@@ -83,7 +90,7 @@ def cdf(params: MixtureParams, x):
     """Mixture CDF (1-theta)*Phi(x) + theta*Phi((x-mu)/sigma)."""
     arr = np.asarray(x, dtype=float)
     theta, mu, sigma = params.theta, params.mu, params.sigma
-    out = (1.0 - theta) * normal_cdf(arr) + theta * normal_cdf((arr - mu) / sigma)
+    out = (1.0 - theta) * ndtr(arr) + theta * ndtr((arr - mu) / sigma)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -167,8 +174,8 @@ def xi_t(params: MixtureParams, variant: MeanFunctionVariant = MeanFunctionVaria
 def _xi_w_value(theta: float, mu: float, sigma: float) -> float:
     # Quadratic polynomial in theta; valid for any real theta, which the
     # central-difference slope checks at theta = 0 rely on.
-    a = normal_cdf(math.sqrt(2.0) * mu / sigma)
-    b = normal_cdf(mu / math.sqrt(1.0 + sigma * sigma))
+    a = ndtr(math.sqrt(2.0) * mu / sigma)
+    b = ndtr(mu / math.sqrt(1.0 + sigma * sigma))
     return theta * theta * a - 0.5 * (theta - 1.0) * (1.0 - theta + 4.0 * theta * b)
 
 
@@ -191,6 +198,5 @@ def xi_w_slope_at_null(mu: float, sigma: float) -> float:
     Evaluated as erf(mu / sqrt(2*(1+sigma^2))), which is the same quantity
     but free of cancellation for small ``mu``.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"component sd must be positive, got {sigma}")
+    _check_mu_sigma(mu, sigma)
     return math.erf(mu / math.sqrt(2.0 * (1.0 + sigma * sigma)))

@@ -284,9 +284,10 @@ def power_ratio_surface(
     for n in n_axis:
         if n < 2:
             raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
+    # Every parameter set is checked before the first cell is simulated.
+    params_axis = [MixtureParams(theta, mu, sigma) for theta in theta_axis]
     rows = []
-    for theta in theta_axis:
-        params = MixtureParams(theta, mu, sigma)
+    for theta, params in zip(theta_axis, params_axis):
         for n in n_axis:
             estimates = _simulate_rejections(params, n, config, (TestKind.WILCOXON, TestKind.T))
             est_w, est_t = estimates[TestKind.WILCOXON], estimates[TestKind.T]

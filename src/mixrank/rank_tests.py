@@ -6,6 +6,11 @@ dynamic programming, exact for n <= 60), and p-values with the classical
 zero/tie handling: exact zeros are dropped, tied magnitudes get midranks
 and a tie-corrected normal-approximation variance, and exact mode refuses
 ties.
+
+One normal CDF, ``scipy.special.ndtr`` (absolute error well below 1e-12),
+serves the whole package, here and in :mod:`mixrank.mixture`, so closed-form
+efficiencies, p-values and Monte Carlo calibration can never drift apart;
+its upper tail is taken as Phi(-z).
 """
 
 import math
@@ -15,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import betainc, ndtr
 
 from .errors import (
     DegenerateSampleError,
@@ -22,7 +28,6 @@ from .errors import (
     InsufficientDataError,
     TiesUnsupportedError,
 )
-from .normal import normal_cdf, normal_sf, student_t_sf
 
 EXACT_NULL_MAX_N = 60   # keeps the integer DP table comfortably exact
 AUTO_EXACT_MAX_N = 25   # auto mode switches to the normal approximation here
@@ -105,13 +110,28 @@ def t_statistic(sample) -> float:
     return float(x.mean()) / (sd / math.sqrt(n))
 
 
+def _student_t_sf(t, df):
+    """Upper tail P(T > t) of the Student-t law with ``df`` degrees of freedom.
+
+    Uses the identity P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2)
+    for t >= 0, where I is the regularized incomplete beta function; the
+    lower half follows by symmetry.  Absolute error is bounded by the
+    incomplete-beta routine, comfortably below 1e-10.  Takes and returns
+    arrays (0-d for a scalar ``t``).
+    """
+    t_arr = np.asarray(t, dtype=float)
+    x = df / (df + t_arr * t_arr)
+    tail = 0.5 * betainc(0.5 * df, 0.5, x)
+    return np.where(t_arr >= 0.0, tail, 1.0 - tail)
+
+
 def _t_p_value(stat, df, sidedness: Sidedness):
     """Student-t p-value for scalar or array statistics."""
     if sidedness is Sidedness.GREATER:
-        return student_t_sf(stat, df)
+        return _student_t_sf(stat, df)
     if sidedness is Sidedness.LESS:
-        return student_t_sf(np.negative(stat), df)  # by symmetry; no cancellation in the tail
-    return 2.0 * student_t_sf(np.abs(stat), df)
+        return _student_t_sf(np.negative(stat), df)  # by symmetry; no cancellation in the tail
+    return 2.0 * _student_t_sf(np.abs(stat), df)
 
 
 def t_test(sample, sidedness: Sidedness = Sidedness.TWO_SIDED) -> TestOutcome:
@@ -221,48 +241,49 @@ class NullPmf:
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "counts", "_sf", "_cdf")
+    __slots__ = ("n", "counts", "_cdf")
 
     def __init__(self, n: int, counts):
         self.n = int(n)
         self.counts = tuple(map(int, counts))
-        total = 1 << self.n
-        # Exact int64 prefix/suffix sums first (they reach 2^n <= 2^60), then
-        # one division by a power of two, so each float is correctly rounded.
-        c = np.array(self.counts, dtype=np.int64)
-        self._cdf = np.cumsum(c) / total
-        self._sf = np.cumsum(c[::-1])[::-1] / total
+        # Exact int64 prefix sums first (they reach 2^n <= 2^60), then one
+        # division by a power of two, so each float is correctly rounded.
+        self._cdf = np.cumsum(np.array(self.counts, dtype=np.int64)) / (1 << self.n)
 
     @property
     def support_max(self) -> int:
         return self.n * (self.n + 1) // 2
 
+    def _support_index(self, k):
+        """``k`` as an index, once every entry of it lies inside the support."""
+        top = self.support_max
+        if isinstance(k, (int, np.integer)):  # no array overhead: null-dist looks up every k
+            outside = () if 0 <= k <= top else (k,)
+        else:
+            k = np.asarray(k)
+            outside = k[(k < 0) | (k > top)]
+        if len(outside):
+            raise DomainError(f"{outside[0]} is outside the support 0..{top}")
+        return k
+
     def mass(self, k: int) -> Fraction:
         """Exact probability P(W+ = k) as a rational number."""
-        if not 0 <= k <= self.support_max:
-            raise DomainError(f"{k} is outside the support 0..{self.support_max}")
-        return Fraction(self.counts[k], 1 << self.n)
+        return Fraction(self.counts[self._support_index(k)], 1 << self.n)
 
     def probability(self, k: int) -> float:
         """P(W+ = k) as a correctly rounded float."""
-        if not 0 <= k <= self.support_max:
-            raise DomainError(f"{k} is outside the support 0..{self.support_max}")
-        return self.counts[k] / (1 << self.n)
-
-    def _support_index(self, k):
-        arr = np.asarray(k)
-        outside = arr[(arr < 0) | (arr > self.support_max)]
-        if outside.size:
-            raise DomainError(f"{outside.flat[0]} is outside the support 0..{self.support_max}")
-        return k
+        return self.counts[self._support_index(k)] / (1 << self.n)
 
     def cdf(self, k):
         """P(W+ <= k); accepts integer scalars or arrays inside the support."""
         return self._cdf[self._support_index(k)]
 
     def sf(self, k):
-        """P(W+ >= k); accepts integer scalars or arrays inside the support."""
-        return self._sf[self._support_index(k)]
+        """P(W+ >= k); accepts integer scalars or arrays inside the support.
+
+        The counts are symmetric about n(n+1)/4, so this is exactly P(W+ <= n(n+1)/2 - k).
+        """
+        return self._cdf[self.support_max - self._support_index(k)]
 
     def exact_mean(self) -> Fraction:
         total = sum(k * c for k, c in enumerate(self.counts))
@@ -305,15 +326,23 @@ def exact_null_pmf(n: int) -> NullPmf:
 # Wilcoxon p-values
 # ---------------------------------------------------------------------------
 
+def _signed_rank_p(sidedness: Sidedness, p_greater, p_less):
+    """The p-value of ``sidedness`` from callables giving P(W+ >= w) and P(W+ <= w).
+
+    Only the tails the sidedness needs are computed; two-sided doubles the smaller, capped at 1.
+    """
+    if sidedness is Sidedness.GREATER:
+        return p_greater()
+    if sidedness is Sidedness.LESS:
+        return p_less()
+    return np.minimum(1.0, 2.0 * np.minimum(p_greater(), p_less()))
+
+
 def _wilcoxon_p_exact(w, n: int, sidedness: Sidedness):
     """Exact p-value from the null pmf; ``w`` may be an integer array."""
     pmf = exact_null_pmf(n)
     k = np.asarray(w, dtype=np.int64)
-    if sidedness is Sidedness.GREATER:
-        return pmf.sf(k)
-    if sidedness is Sidedness.LESS:
-        return pmf.cdf(k)
-    return np.minimum(1.0, 2.0 * np.minimum(pmf.sf(k), pmf.cdf(k)))
+    return _signed_rank_p(sidedness, lambda: pmf.sf(k), lambda: pmf.cdf(k))
 
 
 def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness, tie_term: float = 0.0):
@@ -325,13 +354,11 @@ def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness, tie_term: float = 0.0):
     mean = n * (n + 1) / 4.0
     sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
     w = np.asarray(w, dtype=float)
-    p_greater = normal_sf((w - 0.5 - mean) / sd)
-    p_less = normal_cdf((w + 0.5 - mean) / sd)
-    if sidedness is Sidedness.GREATER:
-        return p_greater
-    if sidedness is Sidedness.LESS:
-        return p_less
-    return np.minimum(1.0, 2.0 * np.minimum(p_greater, p_less))
+    return _signed_rank_p(
+        sidedness,
+        lambda: ndtr(np.negative((w - 0.5 - mean) / sd)),
+        lambda: ndtr((w + 0.5 - mean) / sd),
+    )
 
 
 def wilcoxon_test(

@@ -85,6 +85,22 @@ def test_are_domain_error_is_usage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("are", "--mu", "nan", "--sigma", "1"),
+        ("are", "--mu", "inf", "--sigma", "1", "--json"),
+        ("grid", "--mu-range", "0,inf", "--sigma-range", "0.5,1", "--steps-mu", "2",
+         "--steps-sigma", "2"),
+    ],
+)
+def test_nonfinite_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_grid_csv(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(

@@ -15,7 +15,7 @@ from mixrank.efficiency import (
     efficacy_w,
 )
 from mixrank.errors import DomainError
-from mixrank.mixture import xi_w_slope_at_null
+from mixrank.mixture import MixtureParams, xi_w_slope_at_null
 from mixrank.streams import seeded_rng
 
 
@@ -134,6 +134,34 @@ def test_dominance_grid_validation():
         dominance_grid((1.0, 0.0), (0.5, 1.0), 2, 2)
     with pytest.raises(DomainError):
         dominance_grid((0.0, 1.0), (0.0, 1.0), 2, 2)
+    for mu_range, sigma_range in [
+        ((0.0, math.inf), (0.5, 1.0)),
+        ((-math.inf, 0.0), (0.5, 1.0)),
+        ((0.0, 1.0), (0.5, math.inf)),
+    ]:
+        with pytest.raises(DomainError, match="finite"):
+            dominance_grid(mu_range, sigma_range, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (-math.inf, 1.0),
+        (1.0, math.nan),
+        (1.0, math.inf),
+        (1.0, 0.0),
+        (1.0, -1.0),
+    ],
+)
+def test_every_entry_point_keeps_the_mixture_rule_on_mu_sigma(mu, sigma):
+    calls = [efficacy_t, efficacy_w, are, xi_w_slope_at_null, lambda m, s: MixtureParams(0.5, m, s)]
+    if mu == 1.0:
+        calls.append(lambda m, s: dominance_boundary(s))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call(mu, sigma)
 
 
 def test_dominance_boundary_absent_when_limit_below_one():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from mixrank.errors import DomainError
 from mixrank.mixture import (
@@ -20,7 +21,6 @@ from mixrank.mixture import (
     xi_w,
     xi_w_slope_at_null,
 )
-from mixrank.normal import normal_cdf
 from mixrank.streams import seeded_rng
 
 PARAMS_GRID = [
@@ -31,6 +31,20 @@ PARAMS_GRID = [
     MixtureParams(0.8, 0.2, 0.31622776601683794),
     MixtureParams(1.0, -0.7, 3.0),
 ]
+STANDARD = MixtureParams(0.0, 0.0, 1.0)
+
+# x -> Phi(x), frozen from 40-digit mpmath ncdf evaluations, so independent of
+# the scipy routine under test
+PHI_TABLE = {
+    0.0: 0.5,
+    0.5: 0.6914624612740131,
+    1.0: 0.8413447460685429,
+    1.959963985: 0.9750000000268816,
+    -3.0: 0.001349898031630095,
+    6.0: 0.9999999990134124,
+    -8.5: 9.479534822203318e-18,
+    2.5: 0.9937903346742239,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +67,16 @@ def test_params_validation():
 def test_from_variance_stores_sd():
     p = MixtureParams.from_variance(0.4, 0.2, 0.1)
     assert p.sigma == pytest.approx(math.sqrt(0.1), abs=0)
-    with pytest.raises(DomainError):
-        MixtureParams.from_variance(0.4, 0.2, 0.0)
+    for variance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            MixtureParams.from_variance(0.4, 0.2, variance)
+
+
+def test_from_variance_accepts_numpy_scalars():
+    assert MixtureParams.from_variance(0.5, 0.2, np.float32(0.1)).sigma == math.sqrt(
+        float(np.float32(0.1))
+    )
+    assert MixtureParams.from_variance(0.5, 0.2, np.int64(2)).sigma == math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +100,26 @@ def test_pdf_rejects_nonfinite_x():
         pdf(MixtureParams(0.3, 1.0, 2.0), np.array([0.0, math.nan]))
 
 
+def test_normal_cdf_tabulated_values():
+    for x, expected in PHI_TABLE.items():
+        assert cdf(STANDARD, x) == pytest.approx(expected, abs=1e-12)
+    # extreme tail is also relatively accurate, not just absolutely
+    assert cdf(STANDARD, -8.5) == pytest.approx(9.479534822203318e-18, rel=1e-10)
+
+
+def test_normal_cdf_sf_complementarity():
+    # the package takes every normal upper tail as Phi(-x)
+    xs = np.linspace(-6.0, 6.0, 41)
+    np.testing.assert_allclose(cdf(STANDARD, xs) + ndtr(np.negative(xs)), 1.0, atol=1e-15)
+
+
+def test_normal_cdf_vectorizes():
+    xs = np.array([-1.0, 0.0, 2.5])
+    vals = cdf(STANDARD, xs)
+    assert vals.shape == (3,)
+    assert vals[1] == 0.5
+
+
 def test_cdf_examples():
     assert cdf(MixtureParams(0.0, 3.0, 2.0), 0.0) == 0.5
     assert cdf(MixtureParams(0.5, 0.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-15)
@@ -90,7 +132,7 @@ def test_cdf_examples():
 def test_null_params_reproduce_standard_gaussian_exactly():
     p = MixtureParams(0.0, 4.0, 2.5)
     xs = np.linspace(-5.0, 5.0, 11)
-    np.testing.assert_array_equal(cdf(p, xs), normal_cdf(xs))
+    np.testing.assert_array_equal(cdf(p, xs), ndtr(xs))
     phi = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
     np.testing.assert_array_equal(pdf(p, xs), phi)
     rng_a = seeded_rng(123, "null-vs-gauss")
@@ -243,7 +285,7 @@ def test_xi_w_examples():
     assert xi_w(MixtureParams(0.0, 2.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
     pure = MixtureParams(1.0, 1.5, 2.0)
     assert xi_w(pure) == pytest.approx(
-        float(normal_cdf(math.sqrt(2.0) * 1.5 / 2.0)), abs=1e-14
+        float(ndtr(math.sqrt(2.0) * 1.5 / 2.0)), abs=1e-14
     )
     # frozen mpmath value of the printed expression
     assert xi_w(MixtureParams(0.3, 1.0, 2.0)) == pytest.approx(
@@ -259,8 +301,8 @@ def test_xi_w_matches_three_term_expansion():
         sigma = float(rng.uniform(0.05, 4.0))
         expansion = (
             0.5 * (1.0 - theta) ** 2
-            + 2.0 * theta * (1.0 - theta) * normal_cdf(mu / math.sqrt(1.0 + sigma * sigma))
-            + theta * theta * normal_cdf(math.sqrt(2.0) * mu / sigma)
+            + 2.0 * theta * (1.0 - theta) * ndtr(mu / math.sqrt(1.0 + sigma * sigma))
+            + theta * theta * ndtr(math.sqrt(2.0) * mu / sigma)
         )
         value = xi_w(MixtureParams(theta, mu, sigma))
         assert value == pytest.approx(expansion, abs=1e-12)

@@ -317,6 +317,15 @@ def test_sample_size_cap_below_two_draws_nothing(monkeypatch):
         empirical_are(1.0, 1.0, [0.5], 0.8, cfg, n_cap=0)
 
 
+def test_surface_checks_every_theta_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no cell may be simulated")
+
+    monkeypatch.setattr(power, "_simulate_rejections", refuse)
+    with pytest.raises(DomainError, match="mixing proportion"):
+        power_ratio_surface(0.2, 1.0, [0.2, 1.5], [20, 50], config(nreps=400))
+
+
 def _block_with_edge_values(rng, rows, n):
     """Rows of distinct magnitudes, with zeros, ties, large and subnormal values injected."""
     x = rng.normal(0.2, 1.0, (rows, n))

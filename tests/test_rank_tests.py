@@ -22,6 +22,7 @@ from mixrank.rank_tests import (
     Sidedness,
     WilcoxonMode,
     _signed_rank,
+    _student_t_sf,
     exact_null_pmf,
     identity_check,
     t_statistic,
@@ -80,6 +81,8 @@ def test_t_test_examples():
 
     greater = t_test([1.0, 2.0, 3.0], Sidedness.GREATER)
     assert greater.p_value == pytest.approx(0.03708995011372427, abs=1e-10)
+    for sidedness in Sidedness:
+        assert type(t_test([1.0, 2.0, 4.0], sidedness).p_value) is float
 
 
 def test_t_test_validates_its_sample_once(monkeypatch):
@@ -116,6 +119,41 @@ def test_t_test_less_side_far_tail_matches_scipy():
     assert 0.0 < expected < 1e-17
     assert t_test(x, Sidedness.LESS).p_value == pytest.approx(expected, rel=1e-9, abs=0.0)
     assert t_test(-x, Sidedness.GREATER).p_value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+# (t, df) -> P(T_df > t), frozen from 40-digit mpmath evaluations of the
+# regularized incomplete beta, so independent of the scipy routine under test
+T_SF_TABLE = {
+    (0.5, 1): 0.3524163823495667,
+    (1.0, 2): 0.2113248654051871,
+    (3.4641016151377544, 2): 0.03708995011372427,
+    (2.0, 5): 0.05096973941492918,
+    (-1.5, 10): 0.9177463367772799,
+    (3.0, 29): 0.002749596066951703,
+    (0.0, 7): 0.5,
+    (10.0, 3): 0.001064199529207075,
+    (1.2345, 99): 0.10996943362509816,
+    (0.7, 59): 0.24333918412129793,
+}
+
+
+def test_student_t_sf_tabulated_values():
+    for (t, df), expected in T_SF_TABLE.items():
+        assert _student_t_sf(t, df) == pytest.approx(expected, abs=1e-10)
+
+
+def test_student_t_sf_df2_closed_form():
+    # P(T_2 > t) = (1 - t/sqrt(2 + t^2)) / 2
+    for t in [0.1, 0.9, 2.0, 3.4641016151377544, 7.5]:
+        closed = 0.5 * (1.0 - t / np.sqrt(2.0 + t * t))
+        assert _student_t_sf(t, 2) == pytest.approx(closed, abs=1e-13)
+
+
+def test_student_t_sf_symmetry_and_arrays():
+    ts = np.array([-2.0, -0.3, 0.0, 0.3, 2.0])
+    sf = _student_t_sf(ts, 7)
+    assert sf.shape == ts.shape
+    np.testing.assert_allclose(sf + _student_t_sf(-ts, 7), 1.0, atol=1e-14)
 
 
 def test_t_statistic_scale_invariance():
@@ -254,6 +292,18 @@ def test_null_pmf_tail_lookups_refuse_outside_support():
             with pytest.raises(DomainError, match="outside the support 0..6"):
                 lookup(k)
         np.testing.assert_array_equal(lookup(np.array([0, 6])), [lookup(0), lookup(6)])
+    for lookup in (pmf.mass, pmf.probability):
+        for k in (-1, 7, np.int64(7)):
+            with pytest.raises(DomainError, match=f"{k} is outside the support 0..6"):
+                lookup(k)
+
+
+def test_null_pmf_upper_tail_equals_summed_counts():
+    for n in (1, 2, 7, 25, 60):
+        pmf = exact_null_pmf(n)
+        total = 1 << n
+        tails = np.cumsum(np.array(pmf.counts[::-1], dtype=np.int64))[::-1] / total
+        np.testing.assert_array_equal(pmf.sf(np.arange(pmf.support_max + 1)), tails)
 
 
 # ---------------------------------------------------------------------------
