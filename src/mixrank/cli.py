@@ -373,9 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Join a value like ``-1,1`` to the flag before it, as ``--flag=-1,1``.
+
+    argparse takes any word that starts with a minus sign and is not a plain
+    negative number for an option, so ``--mu-range -1,1`` would lack its
+    value.  No mixrank option holds a comma, so such a word is always a value.
+    """
+    joined: list[str] = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        if word.startswith("-") and "," in word and flag.startswith("--") and "=" not in flag:
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
     except DataFileError as exc:

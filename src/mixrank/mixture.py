@@ -171,11 +171,23 @@ def xi_t(params: MixtureParams, variant: MeanFunctionVariant = MeanFunctionVaria
     return _xi_t_value(params.theta, params.mu, params.sigma, variant)
 
 
+def _over_root_one_plus_square(mu: float, sigma: float, k: float) -> float:
+    """mu / sqrt(k * (1 + sigma^2)) for k = 1 or 2, finite for every finite sigma.
+
+    Past 1e153 the square (times two) could overflow; 1 + sigma^2 rounds to
+    sigma^2 there, so dividing by sigma first gives the same quantity.  Below
+    it the plain formula is kept, so those values do not move by a bit.
+    """
+    if sigma < 1e153:
+        return mu / math.sqrt(k * (1.0 + sigma * sigma))
+    return mu / sigma / math.sqrt(k)
+
+
 def _xi_w_value(theta: float, mu: float, sigma: float) -> float:
     # Quadratic polynomial in theta; valid for any real theta, which the
     # central-difference slope checks at theta = 0 rely on.
     a = ndtr(math.sqrt(2.0) * mu / sigma)
-    b = ndtr(mu / math.sqrt(1.0 + sigma * sigma))
+    b = ndtr(_over_root_one_plus_square(mu, sigma, 1.0))
     return theta * theta * a - 0.5 * (theta - 1.0) * (1.0 - theta + 4.0 * theta * b)
 
 
@@ -199,4 +211,4 @@ def xi_w_slope_at_null(mu: float, sigma: float) -> float:
     but free of cancellation for small ``mu``.
     """
     _check_mu_sigma(mu, sigma)
-    return math.erf(mu / math.sqrt(2.0 * (1.0 + sigma * sigma)))
+    return math.erf(_over_root_one_plus_square(mu, sigma, 2.0))

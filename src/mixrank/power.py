@@ -14,6 +14,10 @@ block index, replication count).  Per-cell results are integer rejection
 counts, so output is bit-identical for any worker count.  A block holds at
 most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), or one row where a
 row alone holds more (n > 2**17).
+The cells of a power-ratio surface share one pool: their blocks are
+submitted in lattice order with at most two per worker in flight, so no cell
+ends at a barrier and a surface holds a bounded number of blocks however
+large its lattice.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
@@ -22,6 +26,7 @@ evaluated by both tests, so no (cell, n) is simulated twice.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -210,34 +215,59 @@ def _simulation_cell_key(params: MixtureParams, n: int) -> int:
     return stream_key("power-cell", params.theta, params.mu, params.sigma, n)
 
 
+def _simulate_cells(
+    cells: list[tuple[MixtureParams, int]],
+    config: SimConfig,
+    kinds: tuple[TestKind, ...],
+) -> list[dict[TestKind, PowerEstimate]]:
+    """Estimates of every (params, n) cell, all of their blocks run on one pool.
+
+    Blocks are submitted in cell order with at most two per worker in
+    flight, so a lattice holds O(workers) futures however many blocks it
+    has, and no cell waits for its own last block before the next starts.
+    """
+    layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
+    n_blocks = [-(-config.nreps // rows) for _, rows in layout]
+
+    def run_block(params: MixtureParams, n: int, cell: int, rows: int, block: int) -> np.ndarray:
+        rng = replication_rng(config.master_seed, cell, block)
+        x = draw_sample(params, n, rng, rows=min(rows, config.nreps - block * rows))
+        return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
+
+    # Every worker count takes this path; the counts are integers summed per
+    # cell, so they cannot depend on it.
+    totals = [0] * len(cells)
+    workers = min(config.max_parallelism, sum(n_blocks))
+    in_flight = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i, ((params, n), (cell, rows)) in enumerate(zip(cells, layout)):
+            for block in range(n_blocks[i]):
+                if len(in_flight) == 2 * workers:
+                    j, done = in_flight.popleft()
+                    totals[j] += done.result()
+                in_flight.append((i, pool.submit(run_block, params, n, cell, rows, block)))
+        for j, done in in_flight:
+            totals[j] += done.result()
+
+    results = []
+    for cell_totals in totals:
+        estimates = {}
+        for kind, (rejections, degenerate) in zip(kinds, cell_totals.tolist()):
+            power = rejections / config.nreps
+            mc_se = math.sqrt(power * (1.0 - power) / config.nreps)
+            estimates[kind] = PowerEstimate(power, mc_se, config.nreps, kind, degenerate)
+        results.append(estimates)
+    return results
+
+
 def _simulate_rejections(
     params: MixtureParams,
     n: int,
     config: SimConfig,
     kinds: tuple[TestKind, ...],
 ) -> dict[TestKind, PowerEstimate]:
-    cell = _simulation_cell_key(params, n)
-    rows = _block_rows(n)
-    starts = range(0, config.nreps, rows)
-
-    def run_block(start: int) -> np.ndarray:
-        rng = replication_rng(config.master_seed, cell, start // rows)
-        x = draw_sample(params, n, rng, rows=min(rows, config.nreps - start))
-        return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
-
-    # Every worker count takes this path; the counts are integers summed in
-    # block order, so they cannot depend on it.
-    with ThreadPoolExecutor(max_workers=min(config.max_parallelism, len(starts))) as pool:
-        totals = sum(pool.map(run_block, starts))
-
-    estimates = {}
-    for kind, (rejections, degenerate) in zip(kinds, totals.tolist()):
-        power = rejections / config.nreps
-        mc_se = math.sqrt(power * (1.0 - power) / config.nreps)
-        estimates[kind] = PowerEstimate(
-            power=power, mc_se=mc_se, nreps=config.nreps, test_kind=kind, n_degenerate=degenerate
-        )
-    return estimates
+    """Estimates of one cell, from the same runner as a whole surface."""
+    return _simulate_cells([(params, n)], config, kinds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +316,27 @@ def power_ratio_surface(
             raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
     # Every parameter set is checked before the first cell is simulated.
     params_axis = [MixtureParams(theta, mu, sigma) for theta in theta_axis]
+    cells = [(params, n) for params in params_axis for n in n_axis]
     rows = []
-    for theta, params in zip(theta_axis, params_axis):
-        for n in n_axis:
-            estimates = _simulate_rejections(params, n, config, (TestKind.WILCOXON, TestKind.T))
-            est_w, est_t = estimates[TestKind.WILCOXON], estimates[TestKind.T]
-            flagged = theta == 0.0 or est_t.power == 0.0 or est_t.power < 10.0 * est_t.mc_se
-            ratio = est_w.power / est_t.power if est_t.power > 0.0 else math.nan
-            rows.append(
-                SurfacePoint(
-                    theta=theta,
-                    n=n,
-                    power_w=est_w.power,
-                    se_w=est_w.mc_se,
-                    power_t=est_t.power,
-                    se_t=est_t.mc_se,
-                    ratio=ratio,
-                    flagged=flagged,
-                )
+    for (params, n), estimates in zip(
+        cells, _simulate_cells(cells, config, (TestKind.WILCOXON, TestKind.T))
+    ):
+        theta = params.theta
+        est_w, est_t = estimates[TestKind.WILCOXON], estimates[TestKind.T]
+        flagged = theta == 0.0 or est_t.power == 0.0 or est_t.power < 10.0 * est_t.mc_se
+        ratio = est_w.power / est_t.power if est_t.power > 0.0 else math.nan
+        rows.append(
+            SurfacePoint(
+                theta=theta,
+                n=n,
+                power_w=est_w.power,
+                se_w=est_w.mc_se,
+                power_t=est_t.power,
+                se_t=est_t.mc_se,
+                ratio=ratio,
+                flagged=flagged,
             )
+        )
     return rows
 
 

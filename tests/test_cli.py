@@ -124,6 +124,18 @@ def test_grid_csv(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(scalar, rel=1e-8)
 
 
+def test_negative_comma_lists_parse_with_or_without_equals(capsys):
+    grid = ("grid", "--sigma-range", "0.5,1", "--steps-mu", "2", "--steps-sigma", "2")
+    spaced = run_cli(capsys, *grid, "--mu-range", "-1,1")
+    joined = run_cli(capsys, *grid, "--mu-range=-1,1")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1].splitlines()[1] == "-1,0.5,1.18657065"
+    # A negative list reaches the value check like any other value.
+    curve = ("curve", "--mu", "1", "--sigma", "1", "--n", "20")
+    code, out, err = run_cli(capsys, *curve, "--theta", "-0.5,0.2")
+    assert (code, out) == (2, "") and "mixing proportion" in err
+
+
 def test_grid_sigma_columns_monotone(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     run_cli(

@@ -318,6 +318,34 @@ def test_xi_w_slope_examples():
         xi_w_slope_at_null(1.0, 0.0)
 
 
+def test_xi_w_at_ordinary_sigma_keeps_its_bits():
+    # Exact values of mixrank 0.2.0 at theta = 0.3; a guard against overflow
+    # at huge sigma must not move them.
+    table = {
+        (0.2, 0.31622776601683794): (0.15123349898314453, 0.5600598331579388),
+        (1.0, 1.0): (0.5204998778130465, 0.647226510023477),
+        (1.0, 0.5): (0.6289066304773024, 0.6768598943260864),
+        (-3.0, 7.5): (-0.30825727223316424, 0.4159883168539354),
+        (1e-8, 1e-3): (7.978841618608843e-09, 0.5000005094461819),
+        (2.5, 1e3): (0.001994708326832898, 0.5005458311404697),
+    }
+    for (mu, sigma), (slope, value) in table.items():
+        assert xi_w_slope_at_null(mu, sigma) == slope
+        assert xi_w(MixtureParams(0.3, mu, sigma)) == value
+    rng = seeded_rng(37, "xi-w-slope-bits")
+    for sigma in rng.uniform(1e-3, 1e3, 2000):
+        plain = math.erf(1.0 / math.sqrt(2.0 * (1.0 + sigma * sigma)))
+        assert xi_w_slope_at_null(1.0, sigma) == plain
+
+
+def test_xi_w_at_huge_sigma():
+    # sigma^2 overflows past ~1.3e154; with mu = sigma the slope stays
+    # 2*Phi(1) - 1 = erf(1/sqrt(2)).
+    assert xi_w_slope_at_null(1e200, 1e200) == pytest.approx(math.erf(math.sqrt(0.5)), rel=1e-15)
+    expansion = 0.125 + 0.5 * ndtr(1.0) + 0.25 * ndtr(math.sqrt(2.0))
+    assert xi_w(MixtureParams(0.5, 1e200, 1e200)) == pytest.approx(expansion, rel=1e-15)
+
+
 def test_xi_w_central_difference_matches_slope():
     rng = seeded_rng(29, "xi-w-slope-fd")
     h = 1e-5

@@ -158,14 +158,57 @@ def test_power_ratio_surface_rows():
     assert not strong.flagged
     assert strong.ratio == pytest.approx(strong.power_w / strong.power_t, abs=0)
 
-    # rows agree with standalone estimates (shared streams by construction)
-    params = MixtureParams(0.6, 1.0, 1.0)
-    est_w = estimate_power(TestKind.WILCOXON, params, 40, cfg)
-    est_t = estimate_power(TestKind.T, params, 40, cfg)
-    assert strong.power_w == est_w.power
-    assert strong.power_t == est_t.power
-    assert strong.se_w == est_w.mc_se
-    assert strong.se_t == est_t.mc_se
+
+@pytest.mark.parametrize("max_parallelism", [1, 2, 3])
+@pytest.mark.parametrize(
+    "thetas, ns, nreps",
+    [([0.0, 0.4], [20, 50, 100], 5000), ([0.3, 0.7], [2**16 + 1], 5)],
+    ids=["partial-last-blocks", "one-row-blocks"],
+)
+def test_surface_rows_equal_per_cell_estimates(thetas, ns, nreps, max_parallelism):
+    cfg = config(nreps=nreps, max_parallelism=max_parallelism)
+    rows = power_ratio_surface(1.0, 1.0, thetas, ns, cfg)
+    assert [(r.theta, r.n) for r in rows] == [(t, n) for t in thetas for n in ns]
+    for r in rows:
+        params = MixtureParams(r.theta, 1.0, 1.0)
+        w = estimate_power(TestKind.WILCOXON, params, r.n, config(nreps=nreps))
+        t = estimate_power(TestKind.T, params, r.n, config(nreps=nreps))
+        assert (r.power_w, r.se_w, r.power_t, r.se_t) == (w.power, w.mc_se, t.power, t.mc_se)
+
+
+def _recording_pool(monkeypatch):
+    """Pools that record their size, and their unfinished futures at each submit."""
+    built, unfinished = [], []
+
+    class Pool(power.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            self.futures = []
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.futures.append(future)
+            unfinished.append(sum(not f.done() for f in self.futures))
+            return future
+
+    monkeypatch.setattr(power, "ThreadPoolExecutor", Pool)
+    return built, unfinished
+
+
+def test_surface_builds_one_pool_sized_to_its_blocks(monkeypatch):
+    built, _ = _recording_pool(monkeypatch)
+    # Three cells of one block each: no more than three threads may start.
+    power_ratio_surface(1.0, 1.0, [0.2, 0.5, 0.8], [20], config(nreps=100, max_parallelism=10_000))
+    assert built == [3]
+
+
+def test_surface_keeps_a_bounded_window_of_blocks(monkeypatch):
+    built, unfinished = _recording_pool(monkeypatch)
+    n = 2**16 + 1  # one row per block: 20 blocks per cell
+    power_ratio_surface(1.0, 1.0, [0.2, 0.5, 0.8], [n], config(nreps=20, max_parallelism=2))
+    assert len(unfinished) == 60 and max(unfinished) <= 2 * 2
+    assert built == [2]
 
 
 def test_power_ratio_surface_validation():
@@ -321,7 +364,7 @@ def test_surface_checks_every_theta_before_drawing(monkeypatch):
     def refuse(*args):
         raise AssertionError("no cell may be simulated")
 
-    monkeypatch.setattr(power, "_simulate_rejections", refuse)
+    monkeypatch.setattr(power, "_simulate_cells", refuse)
     with pytest.raises(DomainError, match="mixing proportion"):
         power_ratio_surface(0.2, 1.0, [0.2, 1.5], [20, 50], config(nreps=400))
 
