@@ -183,10 +183,23 @@ def _over_root_one_plus_square(mu: float, sigma: float, k: float) -> float:
     return mu / sigma / math.sqrt(k)
 
 
+def _root_two_over(mu: float, sigma: float) -> float:
+    """sqrt(2) * mu / sigma, finite wherever the quotient is.
+
+    Past |mu| ~ 1.27e308 the product sqrt(2) * mu overflows, so there mu is
+    divided by sigma first.  Wherever the product is finite the plain
+    formula is kept, so those values do not move by a bit.
+    """
+    scaled = math.sqrt(2.0) * mu
+    if math.isfinite(scaled):
+        return scaled / sigma
+    return math.sqrt(2.0) * (mu / sigma)
+
+
 def _xi_w_value(theta: float, mu: float, sigma: float) -> float:
     # Quadratic polynomial in theta; valid for any real theta, which the
     # central-difference slope checks at theta = 0 rely on.
-    a = ndtr(math.sqrt(2.0) * mu / sigma)
+    a = ndtr(_root_two_over(mu, sigma))
     b = ndtr(_over_root_one_plus_square(mu, sigma, 1.0))
     return theta * theta * a - 0.5 * (theta - 1.0) * (1.0 - theta + 4.0 * theta * b)
 

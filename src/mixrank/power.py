@@ -20,12 +20,23 @@ ends at a barrier and a surface holds a bounded number of blocks however
 large its lattice.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
+A level-alpha test is a fixed critical region of its statistic, so the
+evaluators reject a row by comparing its statistic with critical values, not
+by computing its p-value.  The critical values of each (n, alpha, sidedness)
+are found once, by bisection on the same p-value function the per-row rule
+``p <= alpha`` calls (over the ordered doubles for t, over the integer
+support for W+), and kept in a bounded ``functools.lru_cache``.  The two
+rules reject the same rows wherever that p-value is monotone in floating
+point; tests/test_power.py checks it next to every critical value across n,
+alpha and sidedness.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
 a sample size both searches probe in the same step is drawn once and
 evaluated by both tests, so no (cell, n) is simulated twice.
 """
 
+import functools
 import math
+import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -145,20 +156,119 @@ class EmpiricalArePoint:
 # vectorized per-block test evaluation
 # ---------------------------------------------------------------------------
 
+_CRITICAL_CACHE = 1024  # (n, alpha, sidedness) keys per test; a search probes ~20 n
+_INF_ORDINAL = 0x7FF0_0000_0000_0000  # ordinal of +inf; -inf is its negation
+
+
+def _double(ordinal: int) -> float:
+    """The double at ``ordinal`` in the ordering of all doubles, with 0 at +0.0."""
+    bits = ordinal if ordinal >= 0 else -ordinal | 1 << 63
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """Smallest k in [lo, hi) with ``pred(k)``, or hi; ``pred`` is False, then True."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@functools.lru_cache(maxsize=_CRITICAL_CACHE)
+def _t_critical_value(n: int, alpha: float, sidedness: Sidedness) -> float:
+    """Smallest double c at which the t p-value of ``sidedness`` is <= alpha.
+
+    GREATER searches every double, and LESS shares its value because the
+    LESS p-value of t is the GREATER p-value of -t.  TWO_SIDED searches
+    |t| >= 0.  Past |t| ~ 1.3e154, t*t overflows and the p-value reads 0, as
+    it would for a row; only the search probes there, so it runs with the
+    overflow warning off.
+    """
+    if sidedness is Sidedness.LESS:
+        return _t_critical_value(n, alpha, Sidedness.GREATER)
+    lo = 0 if sidedness is Sidedness.TWO_SIDED else -_INF_ORDINAL
+    with np.errstate(over="ignore"):
+        ordinal = _first(
+            lambda o: _t_p_value(_double(o), n - 1, sidedness) <= alpha, lo, _INF_ORDINAL
+        )
+    return _double(ordinal)
+
+
+def _t_reject(stat: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:
+    """Which t statistics of samples of size ``n`` a level-alpha test rejects.
+
+    NaN never rejects and +inf rejects on the upper side, as their p-values do.
+    """
+    c = _t_critical_value(n, alpha, sidedness)
+    if sidedness is Sidedness.GREATER:
+        return stat >= c
+    if sidedness is Sidedness.LESS:
+        return stat <= -c  # -stat >= c: negation is exact
+    return np.abs(stat) >= c
+
+
+@functools.lru_cache(maxsize=_CRITICAL_CACHE)
+def _w_critical_values(n: int, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
+    """(k_lo, k_hi): a tie-free W+ of n nonzero values rejects iff W+ <= k_lo or W+ >= k_hi.
+
+    p is the exact p-value up to ``AUTO_EXACT_MAX_N`` and the normal
+    approximation above, as in the scalar test.  k_hi is the smallest k with
+    p(k) <= alpha on the upper side and k_lo the largest on the lower side;
+    -1 and n(n+1)/2 + 1 stand for a side that never rejects.  TWO_SIDED
+    searches each half of the support on its own side of the centre
+    n(n+1)/4: p is 1 at the centre and monotone on each half.
+    """
+    top = n * (n + 1) // 2
+    p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
+
+    def rejects(k: int) -> bool:
+        return p_value(k, n, sidedness) <= alpha
+
+    k_lo, k_hi = -1, top + 1
+    if sidedness is not Sidedness.GREATER:
+        end = top + 1 if sidedness is Sidedness.LESS else top // 2 + 1
+        k_lo = _first(lambda k: not rejects(k), 0, end) - 1
+    if sidedness is not Sidedness.LESS:
+        start = 0 if sidedness is Sidedness.GREATER else (top + 1) // 2
+        k_hi = _first(rejects, start, top + 1)
+    return k_lo, k_hi
+
+
+def _w_reject(w: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:
+    """Which tie-free W+ of n nonzero values a level-alpha test rejects."""
+    k_lo, k_hi = _w_critical_values(n, alpha, sidedness)
+    return (w <= k_lo) | (w >= k_hi)
+
+
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
+    """Rejections and degenerate rows of the t test over the rows of ``x``.
+
+    A row rejects when its t statistic reaches the cached critical value,
+    the smallest double whose Student-t p-value is at most alpha: the rule
+    ``p <= alpha`` wherever that p-value is monotone.  Zero-variance rows
+    are degenerate and never reject.
+    """
     n = x.shape[1]
     mean = x.mean(axis=1)
     sd = x.std(axis=1, ddof=1)
-    degenerate = sd == 0.0
-    stat = np.zeros_like(mean)
-    ok = ~degenerate
-    stat[ok] = mean[ok] / (sd[ok] / math.sqrt(n))
-    p = _t_p_value(stat, n - 1, sidedness)
-    reject = ok & (p <= alpha)
-    return int(reject.sum()), int(degenerate.sum())
+    ok = sd != 0.0
+    stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
+    reject = ok & _t_reject(stat, n, alpha, sidedness)
+    return int(np.count_nonzero(reject)), int(mean.size - np.count_nonzero(ok))
 
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
+    """Rejections and degenerate rows of the signed-rank test over the rows of ``x``.
+
+    A tie-free row without zeros rejects when its integer W+ reaches a
+    cached critical value, the first support point whose p-value is at most
+    alpha: the rule ``p <= alpha``, since W+ takes only support values.
+    Rows with zeros or tied magnitudes take the scalar test, and all-zero
+    rows are degenerate.
+    """
     n = x.shape[1]
     # One integer sort per row.  Non-negative doubles order like their bit
     # patterns, and the shift drops the sign bit, so the key orders a row by
@@ -173,20 +283,11 @@ def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> t
     tie_rows = (np.bitwise_xor(key[:, 1:], key[:, :-1]) < 2).any(axis=1)
     slow = zero_rows | tie_rows
     w_all = np.bitwise_and(key, 1, out=key).view(np.int64) @ np.arange(1, n + 1)
-
-    rejections = 0
-    degenerate = 0
-    fast = ~slow
-    if fast.any():
-        w = w_all[fast]
-        if n <= AUTO_EXACT_MAX_N:
-            p = _wilcoxon_p_exact(w, n, sidedness)
-        else:
-            p = _wilcoxon_p_normal(w, n, sidedness)
-        rejections += int((p <= alpha).sum())
+    rejections = int(np.count_nonzero(~slow & _w_reject(w_all, n, alpha, sidedness)))
 
     # Zeros or tied magnitudes have probability zero under the mixture but
     # are handled exactly anyway via the scalar test.
+    degenerate = 0
     for idx in np.nonzero(slow)[0]:
         row = x[idx]
         if not (row != 0.0).any():

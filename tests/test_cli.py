@@ -544,3 +544,42 @@ def test_cmd_test_both_json_bytes(tmp_path, capsys):
         },
     }
     assert out == _dumps(expected)
+
+
+# ---------------------------------------------------------------------------
+# payload digests beyond the one-sided greater alternative
+# ---------------------------------------------------------------------------
+
+_CURVE_ARGV = ["curve", "--mu", "-1", "--sigma", "0.5", "--theta", "0,0.3,0.8",
+               "--n", "2,3,5,20,25,26,60,300", "--nreps", "2000", "--seed", "11"]
+_NMIN_ARGV = ["nmin", "--mu", "1", "--sigma", "0.5", "--theta", "0.3", "--power", "0.8",
+              "--nreps", "2000", "--seed", "12", "--sided", "two"]
+
+
+# Recorded from mixrank 0.2.0, which rejected a row by comparing its p-value
+# with alpha.  Alpha 0.5 puts exact-test p-values on the level itself (n = 2
+# rejects two of four W+ values), and the n axis crosses the switch from the
+# exact to the approximate signed-rank p-value at n = 25.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([*_CURVE_ARGV, "--sided", "less", "--alpha", "0.5"],
+         "53ea605739152e9b3542a25caa31554ec8db563aa71f99d4a1a1da2c098410eb"),
+        ([*_CURVE_ARGV, "--sided", "less", "--alpha", "0.05"],
+         "a3c4b598e1102c2d598ad3ac1ee7c31960c893dc2490c17458254546e8ec5883"),
+        ([*_CURVE_ARGV, "--sided", "two", "--alpha", "0.5"],
+         "674a7cf8b06625a9f2c1e5de3c855d78e90d9714e853fe4bdbc877bdf657c234"),
+        ([*_CURVE_ARGV, "--sided", "two", "--alpha", "0.05"],
+         "bb9e025bedc2dfae33d4fbc57bedc178bf2ec0ed245d8ea2785008ef90211cdd"),
+        ([*_NMIN_ARGV, "--test", "t"],
+         "c39540d4073cd334a00432066e31466fe3b9fd7648b6a51f2528ee8aebeaab9b"),
+        ([*_NMIN_ARGV, "--test", "wilcoxon"],
+         "13a1de1c424ed9ef6c391af0b220bca3773aad6dfcfce99142a1b4fe102963cd"),
+    ],
+    ids=["curve-less-0.5", "curve-less-0.05", "curve-two-0.5", "curve-two-0.05",
+         "nmin-two-t", "nmin-two-wilcoxon"],
+)
+def test_payload_digests_beyond_greater(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -336,6 +336,14 @@ def test_xi_w_at_ordinary_sigma_keeps_its_bits():
     for sigma in rng.uniform(1e-3, 1e3, 2000):
         plain = math.erf(1.0 / math.sqrt(2.0 * (1.0 + sigma * sigma)))
         assert xi_w_slope_at_null(1.0, sigma) == plain
+    # The guard on sqrt(2) * mu keeps the plain formula wherever it is finite.
+    for mu in np.concatenate([-np.geomspace(1e-300, 1e308, 61), np.geomspace(1e-300, 1e308, 61)]):
+        for sigma in np.geomspace(1e-3, 1e3, 13):
+            mu, sigma = float(mu), float(sigma)
+            a = ndtr(math.sqrt(2.0) * mu / sigma)
+            b = ndtr(mu / math.sqrt(1.0 + sigma * sigma))
+            plain = 0.3 * 0.3 * a - 0.5 * (0.3 - 1.0) * (1.0 - 0.3 + 4.0 * 0.3 * b)
+            assert xi_w(MixtureParams(0.3, mu, sigma)) == plain
 
 
 def test_xi_w_at_huge_sigma():
@@ -344,6 +352,9 @@ def test_xi_w_at_huge_sigma():
     assert xi_w_slope_at_null(1e200, 1e200) == pytest.approx(math.erf(math.sqrt(0.5)), rel=1e-15)
     expansion = 0.125 + 0.5 * ndtr(1.0) + 0.25 * ndtr(math.sqrt(2.0))
     assert xi_w(MixtureParams(0.5, 1e200, 1e200)) == pytest.approx(expansion, rel=1e-15)
+    # sqrt(2) * mu overflows past ~1.27e308; the old form read 0.7957 here.
+    assert xi_w(MixtureParams(0.5, 1.7e308, 1.7e308)) == pytest.approx(expansion, rel=1e-15)
+    assert round(expansion, 4) == 0.7760
 
 
 def test_xi_w_central_difference_matches_slope():

@@ -6,6 +6,7 @@ acceptance suite; these tests keep replication budgets small.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from mixrank.power import (
     min_sample_size,
     power_ratio_surface,
 )
-from mixrank.rank_tests import Sidedness, WilcoxonMode, wilcoxon_test
+from mixrank.rank_tests import (
+    AUTO_EXACT_MAX_N,
+    Sidedness,
+    WilcoxonMode,
+    _t_p_value,
+    _wilcoxon_p_exact,
+    _wilcoxon_p_normal,
+    wilcoxon_test,
+)
 from mixrank.streams import replication_rng
 
 
@@ -414,6 +423,64 @@ def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
             continue
         assert power._wilcoxon_rejections(row[None], p, sidedness) == (1, 0)
         assert power._wilcoxon_rejections(row[None], np.nextafter(p, 0.0), sidedness) == (0, 0)
+
+
+def _doubles_around(c, k):
+    """c and the k doubles on each side of it, in increasing order."""
+    below, above = [c], [c]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 25, 26, 100, 1000])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
+    for alpha in (1e-12, 0.01, 0.05, 0.5, 0.9):
+        # The search itself, uncached: its probes reach |t| where t*t overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = power._t_critical_value.__wrapped__(n, alpha, sidedness)
+            ks = power._w_critical_values.__wrapped__(n, alpha, sidedness)
+        assert c == power._t_critical_value(n, alpha, sidedness)
+        assert ks == power._w_critical_values(n, alpha, sidedness)
+
+        near = _doubles_around(c, 64)
+        stat = np.array([*near, *np.negative(near), 0.0, -0.0, np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(
+            power._t_reject(stat, n, alpha, sidedness),
+            _t_p_value(stat, n - 1, sidedness) <= alpha,
+        )
+        # W+ takes only the values of its support, so all of them are checked:
+        # a superset of k - 2 .. k + 2 around each critical value.
+        w = np.arange(n * (n + 1) // 2 + 1)
+        p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
+        np.testing.assert_array_equal(
+            power._w_reject(w, n, alpha, sidedness), p_value(w, n, sidedness) <= alpha
+        )
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.9])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
+    n = 30
+    x = np.random.default_rng(3).normal(0.2, 1.0, (400, n))
+    x[::50] = 1.5  # constant rows: degenerate for t, tied magnitudes for W
+    mean, sd = x.mean(axis=1), x.std(axis=1, ddof=1)
+    ok = sd != 0.0
+    p = _t_p_value(mean[ok] / (sd[ok] / math.sqrt(n)), n - 1, sidedness)
+    expected_t = (int((p <= alpha).sum()), int((~ok).sum()))
+    expected_w = power._wilcoxon_rejections(x, alpha, sidedness)  # fills the W cache
+    power._t_critical_value(n, alpha, sidedness)
+
+    def refuse(*args):
+        raise AssertionError("no p-value per row")
+
+    for name in ("_t_p_value", "_wilcoxon_p_exact", "_wilcoxon_p_normal"):
+        monkeypatch.setattr(power, name, refuse)
+    assert power._t_rejections(x, alpha, sidedness) == expected_t
+    assert power._wilcoxon_rejections(x, alpha, sidedness) == expected_w
 
 
 def _separate_row(mu, sigma, theta, cfg, n_cap):
