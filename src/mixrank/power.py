@@ -23,12 +23,13 @@ the comparison and sharply reduces the Monte Carlo noise of power ratios.
 A level-alpha test is a fixed critical region of its statistic, so the
 evaluators reject a row by comparing its statistic with critical values, not
 by computing its p-value.  The critical values of each (n, alpha, sidedness)
-are found once, by bisection on the same p-value function the per-row rule
+are found once, by a search on the same p-value function the per-row rule
 ``p <= alpha`` calls (over the ordered doubles for t, over the integer
-support for W+), and kept in a bounded ``functools.lru_cache``.  The two
-rules reject the same rows wherever that p-value is monotone in floating
-point; tests/test_power.py checks it next to every critical value across n,
-alpha and sidedness.
+support for W+), and kept in a bounded ``functools.lru_cache``.  The search
+starts from scipy's Student-t or normal quantile, so a cache miss costs one
+vectorised p-value call in the usual case.  The two rules reject the same
+rows wherever that p-value is monotone in floating point; tests/test_power.py
+checks it next to every critical value across n, alpha and sidedness.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
 a sample size both searches probe in the same step is drawn once and
 evaluated by both tests, so no (cell, n) is simulated twice.
@@ -36,7 +37,6 @@ evaluated by both tests, so no (cell, n) is simulated twice.
 
 import functools
 import math
-import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +44,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri, stdtrit
 
 from .errors import DomainError, InsufficientDataError, SearchOverflowError
 from .mixture import MixtureParams, sample as draw_sample
@@ -157,24 +158,53 @@ class EmpiricalArePoint:
 # ---------------------------------------------------------------------------
 
 _CRITICAL_CACHE = 1024  # (n, alpha, sidedness) keys per test; a search probes ~20 n
+_WINDOW = 16  # points a critical-value search tests per round, but for its gallop
 _INF_ORDINAL = 0x7FF0_0000_0000_0000  # ordinal of +inf; -inf is its negation
 
 
-def _double(ordinal: int) -> float:
-    """The double at ``ordinal`` in the ordering of all doubles, with 0 at +0.0."""
-    bits = ordinal if ordinal >= 0 else -ordinal | 1 << 63
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+def _ordinal(x: float) -> int:
+    """The place of ``x`` in the ordering of all doubles, with 0 at +0.0 and -0.0."""
+    magnitude = int(np.float64(abs(x)).view(np.int64))
+    return -magnitude if x < 0.0 else magnitude
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """Smallest k in [lo, hi) with ``pred(k)``, or hi; ``pred`` is False, then True."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
+def _doubles(ordinals: np.ndarray) -> np.ndarray:
+    """The doubles at int64 ``ordinals``, the inverse of :func:`_ordinal`."""
+    magnitude = np.abs(ordinals).view(np.float64)
+    return np.where(ordinals < 0, -magnitude, magnitude)
+
+
+def _first(rejects, lo: int, hi: int, guess: int) -> int:
+    """Smallest k in [lo, hi) with ``rejects(k)``, or hi; ``rejects`` is False, then True.
+
+    ``rejects`` maps an int64 array to a bool array, and each round is one
+    call on at most 64 points.  The first round tests the ``_WINDOW`` points
+    around ``guess``.  If the answer lies beyond them, the second gallops
+    from the window's edge to the end of the range at doubling distances.
+    Each later round tests ``_WINDOW`` points spread evenly over what is
+    left, which shrinks it ``_WINDOW + 1``-fold.
+    """
+    start = min(max(guess - _WINDOW // 2, lo), hi - 1)
+    points = range(start, min(start + _WINDOW, hi))
+    first_round = True
+    while True:
+        hits = rejects(np.array(points, dtype=np.int64))
+        first_hit = int(np.argmax(hits)) if hits.any() else hits.size
+        if first_hit < hits.size:
+            hi = points[first_hit]
+        if first_hit > 0:
+            lo = points[first_hit - 1] + 1
+        if lo >= hi:
+            return hi
+        if first_round and first_hit == 0:
+            points = sorted({max(hi - (_WINDOW << j), lo) for j in range(64)})
+        elif first_round and first_hit == hits.size:
+            points = sorted({min(lo + (_WINDOW << j), hi - 1) for j in range(64)})
+        elif hi - lo <= _WINDOW:
+            points = range(lo, hi)
         else:
-            lo = mid + 1
-    return lo
+            points = [lo + j * (hi - lo) // (_WINDOW + 1) for j in range(1, _WINDOW + 1)]
+        first_round = False
 
 
 @functools.lru_cache(maxsize=_CRITICAL_CACHE)
@@ -183,18 +213,24 @@ def _t_critical_value(n: int, alpha: float, sidedness: Sidedness) -> float:
 
     GREATER searches every double, and LESS shares its value because the
     LESS p-value of t is the GREATER p-value of -t.  TWO_SIDED searches
-    |t| >= 0.  Past |t| ~ 1.3e154, t*t overflows and the p-value reads 0, as
-    it would for a row; only the search probes there, so it runs with the
-    overflow warning off.
+    |t| >= 0.  The search starts at scipy's Student-t quantile, which lies
+    within a few hundred doubles of c except where c is near 0 (alpha near
+    0.5 for GREATER, near 1 for TWO_SIDED).  Past |t| ~ 1.3e154, t*t overflows
+    and the p-value reads 0, as it would for a row; only the search probes
+    there, so it runs with the overflow warning off.
     """
     if sidedness is Sidedness.LESS:
         return _t_critical_value(n, alpha, Sidedness.GREATER)
-    lo = 0 if sidedness is Sidedness.TWO_SIDED else -_INF_ORDINAL
+    two_sided = sidedness is Sidedness.TWO_SIDED
+    guess = -stdtrit(n - 1, alpha / 2 if two_sided else alpha)
     with np.errstate(over="ignore"):
         ordinal = _first(
-            lambda o: _t_p_value(_double(o), n - 1, sidedness) <= alpha, lo, _INF_ORDINAL
+            lambda o: _t_p_value(_doubles(o), n - 1, sidedness) <= alpha,
+            0 if two_sided else -_INF_ORDINAL,
+            _INF_ORDINAL,
+            _ordinal(guess),
         )
-    return _double(ordinal)
+    return float(_doubles(np.array(ordinal)))
 
 
 def _t_reject(stat: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:
@@ -216,25 +252,28 @@ def _w_critical_values(n: int, alpha: float, sidedness: Sidedness) -> tuple[int,
 
     p is the exact p-value up to ``AUTO_EXACT_MAX_N`` and the normal
     approximation above, as in the scalar test.  k_hi is the smallest k with
-    p(k) <= alpha on the upper side and k_lo the largest on the lower side;
-    -1 and n(n+1)/2 + 1 stand for a side that never rejects.  TWO_SIDED
-    searches each half of the support on its own side of the centre
-    n(n+1)/4: p is 1 at the centre and monotone on each half.
+    p(k) <= alpha on the upper side; -1 and n(n+1)/2 + 1 stand for a side
+    that never rejects.  Both p-values mirror exactly about the centre
+    n(n+1)/4 (the exact sf is the mirrored cdf, and the normal arguments are
+    exact multiples of 1/4), so the lower side is the mirror of the upper:
+    LESS rejects k iff GREATER rejects n(n+1)/2 - k, and TWO_SIDED, whose p
+    is 1 at the centre and monotone on each half, searches the upper half.
+    The search starts at the normal approximation's quantile.
     """
     top = n * (n + 1) // 2
     p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
-
-    def rejects(k: int) -> bool:
-        return p_value(k, n, sidedness) <= alpha
-
-    k_lo, k_hi = -1, top + 1
-    if sidedness is not Sidedness.GREATER:
-        end = top + 1 if sidedness is Sidedness.LESS else top // 2 + 1
-        k_lo = _first(lambda k: not rejects(k), 0, end) - 1
-    if sidedness is not Sidedness.LESS:
-        start = 0 if sidedness is Sidedness.GREATER else (top + 1) // 2
-        k_hi = _first(rejects, start, top + 1)
-    return k_lo, k_hi
+    two_sided = sidedness is Sidedness.TWO_SIDED
+    side = sidedness if two_sided else Sidedness.GREATER
+    sd = math.sqrt(top * (2 * n + 1) / 12.0)
+    guess = math.ceil(top / 2.0 + 0.5 - sd * ndtri(alpha / 2 if two_sided else alpha))
+    k_hi = _first(
+        lambda k: p_value(k, n, side) <= alpha, (top + 1) // 2 if two_sided else 0, top + 1, guess
+    )
+    if sidedness is Sidedness.GREATER:
+        return -1, k_hi
+    if sidedness is Sidedness.LESS:
+        return top - k_hi, top + 1
+    return top - k_hi, k_hi
 
 
 def _w_reject(w: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:

@@ -483,6 +483,30 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
     assert power._wilcoxon_rejections(x, alpha, sidedness) == expected_w
 
 
+@pytest.mark.parametrize("sidedness", [Sidedness.GREATER, Sidedness.TWO_SIDED])
+def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
+    # A search that misses the cache starts at the quantile of scipy's
+    # Student-t or normal law, so it makes a few vectorised p-value calls
+    # where a bisection over the doubles makes ~64 scalar ones.  Recent
+    # scipy puts the t quantile within a few hundred doubles of c (1 to 5
+    # calls); the bound leaves room for a quantile off by 1e-7 relative.
+    calls = []
+    for name in ("_t_p_value", "_wilcoxon_p_exact", "_wilcoxon_p_normal"):
+        def counted(*args, p_value=getattr(power, name)):
+            calls.append(1)
+            return p_value(*args)
+
+        monkeypatch.setattr(power, name, counted)
+    for n in [*range(2, 61), 100, 1000, 5000]:
+        for alpha in (0.01, 0.05):
+            calls.clear()
+            power._t_critical_value.__wrapped__(n, alpha, sidedness)
+            assert len(calls) <= 10, (n, alpha)
+            calls.clear()
+            power._w_critical_values.__wrapped__(n, alpha, sidedness)
+            assert len(calls) <= 3, (n, alpha)
+
+
 def _separate_row(mu, sigma, theta, cfg, n_cap):
     params = MixtureParams(theta, mu, sigma)
     t = min_sample_size(TestKind.T, params, 0.8, cfg, n_cap)
