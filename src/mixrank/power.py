@@ -30,6 +30,13 @@ starts from scipy's Student-t or normal quantile, so a cache miss costs one
 vectorised p-value call in the usual case.  The two rules reject the same
 rows wherever that p-value is monotone in floating point; tests/test_power.py
 checks it next to every critical value across n, alpha and sidedness.
+The signed-rank evaluator ranks rows of up to ``_KEY32_MAX_N`` values on
+32-bit keys made from the float32 rounding of each value.  That rounding is
+monotone, so a row whose float32 magnitudes are distinct and nonzero has the
+ranks, and the W+, of its float64 magnitudes; the few other rows, and longer
+rows, are ranked on the float64 bits.  The t evaluator sums each row once
+for both its mean and its deviations.
+Neither shortcut changes a rejection count.
 ``empirical_are`` runs its T and W searches in lockstep over shared draws:
 a sample size both searches probe in the same step is drawn once and
 evaluated by both tests, so no (cell, n) is simulated twice.
@@ -60,11 +67,21 @@ from .rank_tests import (
 from .streams import replication_rng, stream_key
 
 _BLOCK_ROWS = 4096  # most replications per block
-# Sample values per block: 1 MiB of float64, so a block and the two or three
-# block-sized temporaries of an evaluator stay near a 2 MiB L2 cache (on such
-# a host 2 MiB blocks ran 10-15% slower per element).  It binds above n = 32,
-# and above n = 2**16 a block is one row.
+# Sample values per block: 1 MiB of float64, so a block and an evaluator's
+# temporaries stay near a 2 MiB L2 cache (on such a host 2 MiB blocks ran
+# 10-15% slower per element).  The t evaluator holds one block-sized
+# temporary, the deviations from the row means.  The signed-rank evaluator
+# holds a key and the differences of adjacent keys: half a block each on
+# 32-bit keys, a block each on 64-bit keys.  It binds above n = 32, and above
+# n = 2**16 a block is one row.
 _BLOCK_ELEMENTS = 1 << 17
+# Largest n whose signed-rank rows are ranked on 32-bit keys first.  Rows
+# with a float32 zero or tie (coarse rows) are ranked again on 64-bit keys.
+# Under the benchmark mixtures (C7's, and C8's lattice at theta 0.2-0.8) the
+# coarse share is 0.0005% of rows at n = 20, 0.02% at 100, 0.6% at 700, 1.4%
+# at 1000, 6% at 2048, 21% at 4096 and 60% at 8192.  The 32-bit pass plus
+# the second ranking was faster up to n ~ 5000 and slower from 6000.
+_KEY32_MAX_N = 4096
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -265,7 +282,9 @@ def _w_critical_values(n: int, alpha: float, sidedness: Sidedness) -> tuple[int,
     two_sided = sidedness is Sidedness.TWO_SIDED
     side = sidedness if two_sided else Sidedness.GREATER
     sd = math.sqrt(top * (2 * n + 1) / 12.0)
-    guess = math.ceil(top / 2.0 + 0.5 - sd * ndtri(alpha / 2 if two_sided else alpha))
+    # At alpha = 1 the quantile is infinite, so the guess is clamped to the support.
+    z = ndtri(alpha / 2 if two_sided else alpha)
+    guess = math.ceil(min(max(top / 2.0 + 0.5 - sd * z, 0.0), top))
     k_hi = _first(
         lambda k: p_value(k, n, side) <= alpha, (top + 1) // 2 if two_sided else 0, top + 1, guess
     )
@@ -291,8 +310,12 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
     are degenerate and never reject.
     """
     n = x.shape[1]
-    mean = x.mean(axis=1)
-    sd = x.std(axis=1, ddof=1)
+    # The operations of x.mean(axis=1) and x.std(axis=1, ddof=1), so the
+    # same bits, with the row sums taken once instead of twice.
+    mean = np.add.reduce(x, axis=1) / n
+    dev = x - mean[:, None]
+    np.square(dev, out=dev)
+    sd = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1))
     ok = sd != 0.0
     stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
     reject = ok & _t_reject(stat, n, alpha, sidedness)
@@ -307,28 +330,41 @@ def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> t
     alpha: the rule ``p <= alpha``, since W+ takes only support values.
     Rows with zeros or tied magnitudes take the scalar test, and all-zero
     rows are degenerate.
-    """
-    n = x.shape[1]
-    # One integer sort per row.  Non-negative doubles order like their bit
-    # patterns, and the shift drops the sign bit, so the key orders a row by
-    # |x| and carries the sign in its low bit.  On a tie-free row without
-    # zeros the sorted position is the rank, so W+ is the rank sum over the
-    # keys whose low bit is set.
-    key = np.left_shift(x.view(np.uint64), 1)
-    np.bitwise_or(key, x > 0.0, out=key)
-    key.sort(axis=1)
-    zero_rows = key[:, 0] >> 1 == 0
-    # Adjacent keys that differ at most in the sign bit are tied magnitudes.
-    tie_rows = (np.bitwise_xor(key[:, 1:], key[:, :-1]) < 2).any(axis=1)
-    slow = zero_rows | tie_rows
-    w_all = np.bitwise_and(key, 1, out=key).view(np.int64) @ np.arange(1, n + 1)
-    rejections = int(np.count_nonzero(~slow & _w_reject(w_all, n, alpha, sidedness)))
 
+    Up to n = ``_KEY32_MAX_N`` rows are ranked on 32-bit keys built from
+    float32 magnitudes.  Rounding a double to float32 is monotone, so where
+    a row's float32 magnitudes are distinct and nonzero they sort as its
+    float64 magnitudes do, and W+ is the same.  A float64 tie or zero stays
+    a tie or zero in float32, so every row the scalar test would see is
+    among the coarse rows, those with a float32 zero or tie, which the
+    exact 64-bit ranking takes again.
+    """
+    if x.shape[1] > _KEY32_MAX_N:
+        return _wilcoxon_rejections_64(x, alpha, sidedness)
+    rejections, coarse = _rank_rejections(_float32_keys(x), x, alpha, sidedness)
+    if not coarse.any():
+        return rejections, 0
+    exact, degenerate = _wilcoxon_rejections_64(x[coarse], alpha, sidedness)
+    return rejections + exact, degenerate
+
+
+def _float32_keys(x: np.ndarray) -> np.ndarray:
+    """The bits of ``x`` rounded to float32, shifted left by one to drop the sign."""
+    # Magnitudes beyond float32's range become inf, which still sorts last.
+    with np.errstate(over="ignore"):
+        key = x.astype(np.float32).view(np.uint32)
+    return np.left_shift(key, 1, out=key)
+
+
+def _wilcoxon_rejections_64(
+    x: np.ndarray, alpha: float, sidedness: Sidedness
+) -> tuple[int, int]:
+    """:func:`_wilcoxon_rejections` ranked on the float64 bits: exact for every row."""
+    rejections, slow = _rank_rejections(np.left_shift(x.view(np.uint64), 1), x, alpha, sidedness)
     # Zeros or tied magnitudes have probability zero under the mixture but
     # are handled exactly anyway via the scalar test.
     degenerate = 0
-    for idx in np.nonzero(slow)[0]:
-        row = x[idx]
+    for row in x[slow]:
         if not (row != 0.0).any():
             degenerate += 1
             continue
@@ -336,6 +372,43 @@ def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> t
         if outcome.p_value <= alpha:
             rejections += 1
     return rejections, degenerate
+
+
+def _rank_rejections(
+    key: np.ndarray, x: np.ndarray, alpha: float, sidedness: Sidedness
+) -> tuple[int, np.ndarray]:
+    """Rejections among the rows of ``key`` with distinct nonzero magnitudes, and the other rows.
+
+    ``key`` holds the magnitude bits of ``x`` shifted left by one, and is
+    overwritten.  Non-negative floats order like their bit patterns, so once
+    the sign of x is in the low bit a sort orders each row by magnitude.  On
+    a row whose keys differ beyond the low bit and whose magnitudes are
+    nonzero, the sorted position is the rank, so W+ is the rank sum over the
+    keys whose low bit is set.  The other rows are returned as a mask.
+    """
+    n = key.shape[1]
+    np.bitwise_or(key, x > 0.0, out=key)
+    key.sort(axis=1)
+    coarse = _coarse_rows(key)
+    # W+ <= n(n+1)/2 fits int32 below n = 65536, far above _KEY32_MAX_N, and
+    # a signed W+ compares with a k_lo of -1 under any casting rule.
+    signed = np.dtype(f"i{key.itemsize}")
+    w = np.bitwise_and(key, 1, out=key).view(signed) @ np.arange(1, n + 1, dtype=signed)
+    return int(np.count_nonzero(~coarse & _w_reject(w, n, alpha, sidedness))), coarse
+
+
+def _coarse_rows(key: np.ndarray) -> np.ndarray:
+    """Rows of sorted keys with a zero magnitude or two that differ at most in the low bit."""
+    rows, n = key.shape
+    # One screen over the flat block finds most blocks free of ties; a pair
+    # that straddles two rows can hit it, and only costs the per-row check.
+    flat = key.reshape(-1)
+    step = np.empty_like(flat)
+    np.bitwise_xor(flat[1:], flat[:-1], out=step[:-1])
+    coarse = key[:, 0] < 2
+    if step[:-1].min() < 2:
+        coarse |= (step.reshape(rows, n)[:, :-1] < 2).any(axis=1)
+    return coarse
 
 
 _EVALUATORS = {

@@ -583,3 +583,31 @@ def test_payload_digests_beyond_greater(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_C8_ARGV = ["curve", "--mu", "0.2", "--sigma", "0.31622776601683794",
+            "--theta", "0.2,0.3,0.4,0.5,0.6,0.7,0.8", "--n", "20,50,100",
+            "--nreps", "2000", "--seed", "13"]
+_C7_ARGV = ["emp-are", "--mu", "0.2", "--sigma", "1", "--theta", "0.5", "--power", "0.8",
+            "--nreps", "300", "--n-cap", "1200", "--seed", "14"]
+_WIDE_N_ARGV = ["curve", "--mu", "0.2", "--sigma", "1", "--theta", "0,0.3",
+                "--n", "2047,2048,2049,4095,4096,4097", "--nreps", "300", "--seed", "15"]
+
+
+# Recorded from mixrank 0.2.0 while it ranked every signed-rank row on the
+# bits of its float64 values.  The emp-are search probes n up to ~700, where
+# about one row in 150 meets a float32 tie, and the wide-n curve straddles
+# n = 2048 and the 32-bit key bound of 4096.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (_C8_ARGV, "d294c3c517834a1b6aff30cea6413cfd5b5ed265437c63a58ac8daba5bc06a49"),
+        (_C7_ARGV, "f8a80c2302368341c068816d644719685e8e0264c933aed298422ce88c36c3cd"),
+        (_WIDE_N_ARGV, "01fef511eccb8fa1a367b31ea6ce2b92cff3e9e23bce6bc7f95fbcd646a86d9d"),
+    ],
+    ids=["curve-c8", "emp-are-c7", "curve-wide-n"],
+)
+def test_payload_digests_greater(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -345,7 +345,9 @@ def test_evaluator_sees_whole_blocks_then_the_rest(monkeypatch):
 def test_one_block_cell_peak_memory():
     # The draw and both evaluators of one block should need little more than
     # the block itself, however large n is.
-    for n, reps in ((2**16, 256), (2**19, 3)):
+    # At n = 2048 the draw's own peak, 2.8 blocks at theta 0.9, is the floor;
+    # 32-bit signed-rank keys stay under it.
+    for n, reps, blocks in ((2048, 256, 3.0), (2**16, 256, 3.5), (2**19, 3, 3.5)):
         tracemalloc.start()
         try:
             power._simulate_rejections(
@@ -354,7 +356,7 @@ def test_one_block_cell_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * power._block_rows(n) * n * 8
+        assert peak <= blocks * power._block_rows(n) * n * 8, n
 
 
 def test_sample_size_cap_below_two_draws_nothing(monkeypatch):
@@ -379,7 +381,11 @@ def test_surface_checks_every_theta_before_drawing(monkeypatch):
 
 
 def _block_with_edge_values(rng, rows, n):
-    """Rows of distinct magnitudes, with zeros, ties, large and subnormal values injected."""
+    """Rows of distinct magnitudes, with zeros, ties, large and subnormal values injected.
+
+    The last 12 rows have no float64 tie or zero: most meet one in float32,
+    two tie only across each other, and the rest are plain.
+    """
     x = rng.normal(0.2, 1.0, (rows, n))
     x[0::7, 0] = 0.0
     x[1::7, 3] = -0.0
@@ -390,10 +396,23 @@ def _block_with_edge_values(rng, rows, n):
     x[6::7, :3] = [2.0, -2.0, 0.0]
     x[7] = 0.0  # all zero: degenerate
     x[8] = -0.0
-    return x
+    above_one = np.nextafter(1.0, 2.0)
+    f32 = rng.normal(0.2, 1.0, (12, n))
+    f32[0, :2] = [1.0, above_one]  # equal only in float32
+    f32[1, :2] = [-1.0, above_one]
+    f32[2, :2] = [1.0, -above_one]
+    f32[3, 0] = 1e39  # beyond float32's range: the only inf
+    f32[4, :2] = [-1e39, 1.5e39]  # two infs
+    f32[5, 0] = 1e-46  # rounds to float32 zero
+    f32[6, :2] = [1e-46, -3e-47]
+    # Row 7's largest magnitude is row 8's smallest: a tie only across rows.
+    f32[7] = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    f32[8] = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    f32[7, 0], f32[8, 0] = 1.0, -1.0
+    return np.vstack([x, f32])
 
 
-@pytest.mark.parametrize("n", [12, 30])
+@pytest.mark.parametrize("n", [12, 30, 2048, power._KEY32_MAX_N, power._KEY32_MAX_N + 1])
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
     rng = np.random.default_rng(n)
@@ -413,16 +432,51 @@ def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
     rejections, degenerate = power._wilcoxon_rejections(x, alpha, sidedness)
     assert degenerate == expected_p.count(None)
     assert rejections == sum(p is not None and p <= alpha for p in expected_p)
-    # Only rows with a zero or tied magnitudes (and not all zero) take the scalar path.
+    # Only rows with a float64 zero or tied magnitudes (and not all zero)
+    # take the scalar path, whatever float32 makes of the others.
     mags = np.sort(np.abs(x), axis=1)
     slow = (mags[:, 0] == 0.0) | (mags[:, 1:] == mags[:, :-1]).any(axis=1)
-    assert len(slow_rows) == int(slow.sum()) - degenerate
+    np.testing.assert_array_equal(slow_rows, x[slow & (x != 0.0).any(axis=1)])
+    # The two rows that tie only across each other, alone in a block.
+    slow_rows.clear()
+    pair = x[-5:-3]  # rows 7 and 8 of the float32 rows
+    assert power._wilcoxon_rejections(pair, alpha, sidedness) == (
+        sum(p <= alpha for p in expected_p[-5:-3]), 0
+    )
+    assert slow_rows == []
     # Row by row, the rejection threshold sits exactly at the scalar p-value.
     for row, p in zip(x, expected_p):
         if p is None:
             continue
         assert power._wilcoxon_rejections(row[None], p, sidedness) == (1, 0)
         assert power._wilcoxon_rejections(row[None], np.nextafter(p, 0.0), sidedness) == (0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 1000, 2**16 + 1])
+def test_t_statistic_keeps_the_bits_of_mean_and_std(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.2, 1.0, (max(4, min(64, 2**17 // n)), n))
+    x[0] = 1.5  # zero variance: degenerate
+    x[1] = 0.1  # constant, but its mean need not be 0.1
+    x[2] = 1e8 + x[2]  # deviations far below the mean
+    x[3] *= 2.0**-1000
+    seen = []
+    t_reject_of = power._t_reject
+
+    def t_reject(stat, *args):
+        seen.append(stat.copy())
+        return t_reject_of(stat, *args)
+
+    monkeypatch.setattr(power, "_t_reject", t_reject)
+    _, degenerate = power._t_rejections(x, 0.05, Sidedness.GREATER)
+    mean, sd = x.mean(axis=1), x.std(axis=1, ddof=1)
+    ok = sd != 0.0
+    assert degenerate == int((~ok).sum()) >= 1
+    stat = seen[0]
+    np.testing.assert_array_equal(
+        stat[ok].view(np.int64), (mean[ok] / (sd[ok] / math.sqrt(n))).view(np.int64)
+    )
+    assert (stat[~ok] == 0.0).all()
 
 
 def _doubles_around(c, k):
