@@ -96,33 +96,21 @@ def cdf(params: MixtureParams, x):
     return out
 
 
-def sample(
-    params: MixtureParams,
-    n: int,
-    rng: np.random.Generator,
-    rows: int | None = None,
-) -> np.ndarray:
+def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent observations from the mixture.
 
-    With ``rows`` given, draw a ``(rows, n)`` block of independent samples
-    instead.  Each observation consumes exactly two values from ``rng``: a
-    uniform for component selection and a standard normal scaled into the
-    chosen component.  All the uniforms are drawn first, then all the
-    normals, both in row-major order, so a block is the reshaped output of
-    ``rng.random(rows * n)`` followed by ``rng.standard_normal(rows * n)``.
-    Output is bit-reproducible given the generator state.
+    Each observation consumes exactly two values from ``rng``: a uniform for
+    component selection and a standard normal scaled into the chosen
+    component.  All the uniforms are drawn first, then all the normals, so
+    the draw is ``rng.random(n)`` followed by ``rng.standard_normal(n)``, and
+    a ``(rows, m)`` block of samples is one draw of ``rows * m`` values,
+    reshaped.  Output is bit-reproducible given the generator state.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
-    shape = n
-    if rows is not None:
-        if not isinstance(rows, (int, np.integer)) or rows < 1:
-            raise DomainError(f"row count must be a positive integer, got {rows}")
-        shape = (rows, n)
-    hit = np.flatnonzero(rng.random(shape) < params.theta)
-    x = rng.standard_normal(shape)
-    flat = x.reshape(-1)
-    flat[hit] = params.mu + params.sigma * flat[hit]
+    hit = np.flatnonzero(rng.random(n) < params.theta)
+    x = rng.standard_normal(n)
+    x[hit] = params.mu + params.sigma * x[hit]
     return x
 
 

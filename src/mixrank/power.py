@@ -37,9 +37,10 @@ ranks, and the W+, of its float64 magnitudes; the few other rows, and longer
 rows, are ranked on the float64 bits.  The t evaluator sums each row once
 for both its mean and its deviations.
 Neither shortcut changes a rejection count.
-``empirical_are`` runs its T and W searches in lockstep over shared draws:
-a sample size both searches probe in the same step is drawn once and
-evaluated by both tests, so no (cell, n) is simulated twice.
+``empirical_are`` runs its T and W searches as one group over shared draws:
+the group probes each n once, with both tests, until their verdicts differ,
+and then splits in two whose intervals never meet again, so no (cell, n) is
+simulated twice.
 """
 
 import functools
@@ -444,7 +445,8 @@ def _simulate_cells(
 
     def run_block(params: MixtureParams, n: int, cell: int, rows: int, block: int) -> np.ndarray:
         rng = replication_rng(config.master_seed, cell, block)
-        x = draw_sample(params, n, rng, rows=min(rows, config.nreps - block * rows))
+        count = min(rows, config.nreps - block * rows)
+        x = draw_sample(params, count * n, rng).reshape(count, n)
         return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
 
     # Every worker count takes this path; the counts are integers summed per
@@ -560,48 +562,6 @@ def _meets_target(estimate: PowerEstimate, target_power: float) -> bool:
     return lower >= target_power - _NMIN_SLACK
 
 
-def _bracket_and_bisect(theta: float, target_power: float, n_cap: int):
-    """Bracket-then-bisect over n, driven from outside.
-
-    Yields each n to probe and expects that probe's :class:`PowerEstimate`
-    sent back; returns the :class:`SampleSizeResult`.  The bracket doubles
-    from 2 and stops at ``n_cap``, so two searches driven in step ask for
-    the same n until they part, and their intervals never overlap again
-    after that.
-    """
-    if not 0.0 < target_power < 1.0:
-        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
-    if theta <= 0.0:
-        raise DomainError("sample-size search requires an alternative (theta > 0)")
-    if n_cap < 2:
-        raise DomainError(f"sample-size cap must be at least 2, got {n_cap}")
-    trace: list[Probe] = []
-
-    def accept(estimate: PowerEstimate) -> bool:
-        trace.append(Probe(n, estimate))
-        return _meets_target(estimate, target_power)
-
-    lo, n = 1, 2
-    while not accept(estimate := (yield n)):
-        if n == n_cap:
-            raise SearchOverflowError(
-                f"sample-size bracket exceeded {n_cap} for theta={theta}", partial=trace
-            )
-        lo, n = n, min(2 * n, n_cap)
-    hi, final = n, estimate
-    while hi - lo > 1:
-        n = (lo + hi) // 2
-        if accept(estimate := (yield n)):
-            hi, final = n, estimate
-        else:
-            lo = n
-    ci = (
-        max(0.0, final.power - _Z99 * final.mc_se),
-        min(1.0, final.power + _Z99 * final.mc_se),
-    )
-    return SampleSizeResult(n_min=hi, achieved_power_ci=ci, search_trace=trace)
-
-
 def _sample_size_searches(
     kinds: tuple[TestKind, ...],
     params: MixtureParams,
@@ -609,25 +569,51 @@ def _sample_size_searches(
     config: SimConfig,
     n_cap: int,
 ) -> dict[TestKind, SampleSizeResult]:
-    """One search per test kind, stepped together over shared draws.
+    """One bracket-then-bisect search per test kind, over shared draws.
 
-    Each step simulates every n asked for once and evaluates it with the
-    tests whose searches asked for it, so a cell two searches probe is
-    drawn once.
+    Searches that have decided alike so far ask for the same n, so they move
+    as a group ``(kinds, lo, hi)``: the target is missed at ``lo`` (n = 1
+    counts as missed) and met at ``hi``, which is None while the bracket
+    doubles up to ``n_cap``.  A group probes its n once, with exactly its
+    own tests, and splits into the tests that met the target there and
+    those that missed.  The two intervals never meet again, so no (cell, n)
+    is simulated twice, and each search probes what it would probe alone.
     """
-    searches = {kind: _bracket_and_bisect(params.theta, target_power, n_cap) for kind in kinds}
-    asked = {kind: next(search) for kind, search in searches.items()}
+    if not 0.0 < target_power < 1.0:
+        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
+    if params.theta <= 0.0:
+        raise DomainError("sample-size search requires an alternative (theta > 0)")
+    if n_cap < 2:
+        raise DomainError(f"sample-size cap must be at least 2, got {n_cap}")
+    traces: dict[TestKind, list[Probe]] = {kind: [] for kind in kinds}
     results = {}
-    while asked:
-        for n in sorted(set(asked.values())):
-            step = tuple(kind for kind in asked if asked[kind] == n)
-            estimates = _simulate_rejections(params, n, config, step)
-            for kind in step:
-                try:
-                    asked[kind] = searches[kind].send(estimates[kind])
-                except StopIteration as done:
-                    results[kind] = done.value
-                    del asked[kind]
+    groups = [(kinds, 1, None)]
+    while groups:
+        group, lo, hi = groups.pop()
+        if hi is not None and hi - lo <= 1:
+            for kind in group:
+                final = dict(traces[kind])[hi]
+                ci = (
+                    max(0.0, final.power - _Z99 * final.mc_se),
+                    min(1.0, final.power + _Z99 * final.mc_se),
+                )
+                results[kind] = SampleSizeResult(hi, ci, traces[kind])
+            continue
+        n = min(2 * lo, n_cap) if hi is None else (lo + hi) // 2
+        estimates = _simulate_rejections(params, n, config, group)
+        hit, miss = [], []
+        for kind in group:
+            traces[kind].append(Probe(n, estimates[kind]))
+            (hit if _meets_target(estimates[kind], target_power) else miss).append(kind)
+        if miss and hi is None and n == n_cap:
+            raise SearchOverflowError(
+                f"sample-size bracket exceeded {n_cap} for theta={params.theta}",
+                partial=traces[miss[0]],
+            )
+        if hit:
+            groups.append((tuple(hit), lo, n))
+        if miss:
+            groups.append((tuple(miss), n, hi))
     return results
 
 
@@ -664,10 +650,11 @@ def empirical_are(
     The trailing ratios approximate the asymptotic relative efficiency of
     the signed-rank test over the t test; this is the brute-force oracle
     that arbitrates the closed form's constant.  At each theta the two
-    searches run in lockstep and share the draws of every n both probe; each
-    search's result equals that of :func:`min_sample_size`.  On a search
-    overflow the completed rows ride along on the exception's ``partial``
-    attribute.
+    searches start as one group that draws each probed n once for both
+    tests, and split into two groups at the first n where their verdicts
+    differ; each search's result equals that of :func:`min_sample_size`.
+    Every theta is checked before the first search.  On a search overflow
+    the completed rows ride along on the exception's ``partial`` attribute.
     """
     thetas = [float(t) for t in theta_sequence]
     if not thetas:
@@ -677,9 +664,10 @@ def empirical_are(
     if any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise DomainError("theta schedule must decrease toward 0")
 
+    # Every parameter set is checked before the first search.
+    params_schedule = [MixtureParams(theta, mu, sigma) for theta in thetas]
     rows: list[EmpiricalArePoint] = []
-    for theta in thetas:
-        params = MixtureParams(theta, mu, sigma)
+    for params in params_schedule:
         try:
             searches = _sample_size_searches(tuple(TestKind), params, target_power, config, n_cap)
         except SearchOverflowError as exc:
@@ -687,7 +675,7 @@ def empirical_are(
         t_search, w_search = searches[TestKind.T], searches[TestKind.WILCOXON]
         rows.append(
             EmpiricalArePoint(
-                theta=theta,
+                theta=params.theta,
                 n_t=t_search.n_min,
                 n_w=w_search.n_min,
                 ratio=t_search.n_min / w_search.n_min,

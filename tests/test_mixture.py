@@ -187,20 +187,12 @@ def test_sample_determinism_and_validation():
 
 def test_sample_block_shape_and_draw_order():
     p = MixtureParams(0.3, 1.0, 2.0)
-    block = sample(p, 7, seeded_rng(7, "block"), rows=5)
-    assert block.shape == (5, 7)
+    block = sample(p, 35, seeded_rng(7, "block")).reshape(5, 7)
     # documented order: every uniform of the block, then every normal, row-major
     rng = seeded_rng(7, "block")
     u = rng.random(35).reshape(5, 7)
     z = rng.standard_normal(35).reshape(5, 7)
     np.testing.assert_array_equal(block, np.where(u < p.theta, p.mu + p.sigma * z, z))
-    # a one-row block is the 1-D draw
-    np.testing.assert_array_equal(
-        sample(p, 7, seeded_rng(7, "row"), rows=1)[0], sample(p, 7, seeded_rng(7, "row"))
-    )
-    for bad in (0, -1, 2.0):
-        with pytest.raises(DomainError):
-            sample(p, 7, seeded_rng(7, "block"), rows=bad)
 
 
 def _where_draw(params, rng, shape):
@@ -214,9 +206,9 @@ def _where_draw(params, rng, shape):
 @pytest.mark.parametrize("mu, sigma", [(-1.5, 0.4), (2.0, 3.0)])
 def test_sample_bit_identical_to_where_select(theta, mu, sigma):
     p = MixtureParams(theta, mu, sigma)
-    for rows, shape in ((None, 37), (6, (6, 37))):
-        got = sample(p, 37, seeded_rng(3, "bits"), rows=rows)
-        want = _where_draw(p, seeded_rng(3, "bits"), shape)
+    for rows in (1, 6):
+        got = sample(p, rows * 37, seeded_rng(3, "bits")).reshape(rows, 37)
+        want = _where_draw(p, seeded_rng(3, "bits"), (rows, 37))
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

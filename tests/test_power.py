@@ -97,7 +97,7 @@ def test_block_regenerates_alone(monkeypatch):
     cell = power._simulation_cell_key(params, n)
     for b in (1, 3):
         rows = min(B, cfg.nreps - b * B)
-        alone = sample(params, n, replication_rng(cfg.master_seed, cell, b), rows=rows)
+        alone = sample(params, rows * n, replication_rng(cfg.master_seed, cell, b)).reshape(rows, n)
         np.testing.assert_array_equal(alone, full[b * B : b * B + rows])
 
 
@@ -245,13 +245,14 @@ def test_min_sample_size_separated_alternative():
 def test_min_sample_size_minimality_from_trace():
     params = MixtureParams(0.5, 1.0, 1.0)
     cfg = config(nreps=6000)
-    result = min_sample_size(TestKind.T, params, 0.8, cfg)
-    trace = dict(result.search_trace)
-    assert result.n_min in trace
-    if result.n_min > 2:
-        below = trace[result.n_min - 1]
-        z99 = 2.3263478740408408
-        assert below.power - z99 * below.mc_se < 0.8 - 0.01
+    for kind in TestKind:
+        result = min_sample_size(kind, params, 0.8, cfg)
+        trace = dict(result.search_trace)
+        assert result.n_min in trace
+        if result.n_min > 2:
+            below = trace[result.n_min - 1]
+            z99 = 2.3263478740408408
+            assert below.power - z99 * below.mc_se < 0.8 - 0.01
 
 
 def test_min_sample_size_stable_under_doubled_nreps():
@@ -369,6 +370,15 @@ def test_sample_size_cap_below_two_draws_nothing(monkeypatch):
         min_sample_size(TestKind.T, MixtureParams(0.5, 1.0, 1.0), 0.8, cfg, n_cap=1)
     with pytest.raises(DomainError, match="cap must be at least 2"):
         empirical_are(1.0, 1.0, [0.5], 0.8, cfg, n_cap=0)
+
+
+def test_empirical_are_checks_every_theta_before_searching(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no cell may be simulated")
+
+    monkeypatch.setattr(power, "_simulate_rejections", refuse)
+    with pytest.raises(DomainError, match="finite"):
+        empirical_are(0.2, 1.0, [0.5, math.nan], 0.8, config(nreps=400))
 
 
 def test_surface_checks_every_theta_before_drawing(monkeypatch):
@@ -573,17 +583,27 @@ def _bracket_end(result):
 
 
 @pytest.mark.parametrize(
-    "mu, sigma, thetas, brackets",
+    "mu, sigma, thetas, n_cap, brackets",
     [
-        (1.0, 0.5, [0.5], "same"),  # both brackets end at 32, then share bisection steps
-        (0.5, 0.05, [0.8, 0.6], "w lower"),  # at 0.6: W's bracket ends at 32, T's at 64
-        (5.0, 2.0, [0.5, 0.3], "t lower"),  # at 0.3: T's bracket ends at 32, W's at 64
+        (1.0, 0.5, [0.5], 1_000_000, "same"),  # both brackets end at 32, then share bisection
+        (0.5, 0.05, [0.8, 0.6], 1_000_000, "w lower"),  # at 0.6: W's ends at 32, T's at 64
+        (5.0, 2.0, [0.5, 0.3], 1_000_000, "t lower"),  # at 0.3: T's ends at 32, W's at 64
+        (1.0, 0.5, [0.5], 28, "same"),  # both brackets end at the cap, then share bisection
+    ],
+    ids=[
+        "1.0-0.5-thetas0-same",
+        "0.5-0.05-thetas1-w lower",
+        "5.0-2.0-thetas2-t lower",
+        "1.0-0.5-thetas3-cap28-same",
     ],
 )
-def test_empirical_are_equals_separate_searches(mu, sigma, thetas, brackets):
+def test_empirical_are_equals_separate_searches(mu, sigma, thetas, n_cap, brackets):
     cfg = config(nreps=400, master_seed=1)
-    rows = empirical_are(mu, sigma, thetas, 0.8, cfg)
-    assert rows == [_separate_row(mu, sigma, theta, cfg, 1_000_000) for theta in thetas]
+    rows = empirical_are(mu, sigma, thetas, 0.8, cfg, n_cap)
+    assert rows == [_separate_row(mu, sigma, theta, cfg, n_cap) for theta in thetas]
+    if n_cap < 32:
+        for search in (rows[-1].t_search, rows[-1].w_search):
+            assert [n for n, _ in search.search_trace] == [2, 4, 8, 16, 28, 22, 25, 26, 27]
     t_end, w_end = _bracket_end(rows[-1].t_search), _bracket_end(rows[-1].w_search)
     assert {"same": t_end == w_end, "w lower": w_end < t_end, "t lower": t_end < w_end}[brackets]
 

@@ -24,7 +24,7 @@ def test_stream_family_and_first_draws_are_pinned():
     # Every Monte Carlo number follows from these bits: a change of generator,
     # of numpy's seeding or of the draw order fails here first.
     assert isinstance(seeded_rng(7, "any label").bit_generator, np.random.SFC64)
-    x = sample(MixtureParams(0.5, 1.0, 2.0), 3, replication_rng(7, 11, 2), rows=2)
+    x = sample(MixtureParams(0.5, 1.0, 2.0), 6, replication_rng(7, 11, 2)).reshape(2, 3)
     bits = np.array(
         [
             [0x3FC36A93FE178BF2, 0x3FB5155434262D80, 0xBFD8D5F584E94E8C],
