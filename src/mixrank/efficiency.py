@@ -15,13 +15,14 @@ ingredients above; the Monte Carlo sample-size oracle in
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .mixture import _check_mu_sigma, xi_w_slope_at_null
+from .mixture import _check_mu_sigma, _over_root_one_plus_square, xi_w_slope_at_null
 
 _NULL_SD_W = math.sqrt(1.0 / 3.0)
 _BOUNDARY_TOL = 1e-9
@@ -68,19 +69,21 @@ def are(mu: float, sigma: float, variant: AreVariant = AreVariant.EFFICACY_DERIV
     """Asymptotic relative efficiency of the signed-rank test over the t test.
 
     Returns c/mu^2 * (2*Phi(mu/sqrt(1+sigma^2)) - 1)^2 with c the variant's
-    constant.  At mu = 0 the analytic limit (2c/pi)/(1+sigma^2) is returned,
-    keeping the surface continuous; values above 1 mean the signed-rank test
-    needs asymptotically fewer observations.
+    constant.  Where the erf argument mu/sqrt(2(1+sigma^2)) is 0 or
+    subnormal, the analytic mu -> 0 limit (2c/pi)/(1+sigma^2) is returned:
+    it keeps the surface continuous, and erf there has lost bits or
+    underflowed.  Values above 1 mean the signed-rank test needs
+    asymptotically fewer observations.
 
     The printed variant is computed as exactly three times the derived one,
     so the two surfaces stay in exact ratio.
     """
     _check_mu_sigma(mu, sigma)
-    if mu == 0.0:
+    x = _over_root_one_plus_square(mu, sigma, 2.0)
+    if abs(x) < sys.float_info.min:
         derived = (6.0 / math.pi) / (1.0 + sigma * sigma)
     else:
-        slope = xi_w_slope_at_null(mu, sigma)
-        ratio = slope / mu
+        ratio = math.erf(x) / mu
         derived = 3.0 * ratio * ratio
     if variant is AreVariant.AS_PRINTED:
         return 3.0 * derived

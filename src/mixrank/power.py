@@ -21,15 +21,15 @@ large its lattice.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 A level-alpha test is a fixed critical region of its statistic, so the
-evaluators reject a row by comparing its statistic with critical values, not
-by computing its p-value.  The critical values of each (n, alpha, sidedness)
-are found once, by a search on the same p-value function the per-row rule
-``p <= alpha`` calls (over the ordered doubles for t, over the integer
-support for W+), and kept in a bounded ``functools.lru_cache``.  The search
-starts from scipy's Student-t or normal quantile, so a cache miss costs one
-vectorised p-value call in the usual case.  The two rules reject the same
-rows wherever that p-value is monotone in floating point; tests/test_power.py
-checks it next to every critical value across n, alpha and sidedness.
+evaluators reject a row by comparing its statistic with the region's bounds,
+not by computing its p-value.  Both tests share one rule: a row rejects iff
+its statistic is <= lo or >= hi, with NaN on a side that never rejects.  A
+cached search on the per-row rule's own p-value finds the upper bound of each
+(n, alpha, sidedness), starting at scipy's Student-t or normal quantile, so a
+cache miss costs one vectorised p-value call in the usual case.  The lower
+bound is its mirror about the null centre: -c for t, n(n+1)/2 - k for W+.
+The rules reject the same rows wherever that p-value is monotone in floating
+point; tests/test_power.py checks it next to every critical value.
 The signed-rank evaluator ranks rows of up to ``_KEY32_MAX_N`` values on
 32-bit keys made from the float32 rounding of each value.  That rounding is
 monotone, so a row whose float32 magnitudes are distinct and nonzero has the
@@ -225,90 +225,80 @@ def _first(rejects, lo: int, hi: int, guess: int) -> int:
         first_round = False
 
 
-@functools.lru_cache(maxsize=_CRITICAL_CACHE)
-def _t_critical_value(n: int, alpha: float, sidedness: Sidedness) -> float:
-    """Smallest double c at which the t p-value of ``sidedness`` is <= alpha.
-
-    GREATER searches every double, and LESS shares its value because the
-    LESS p-value of t is the GREATER p-value of -t.  TWO_SIDED searches
-    |t| >= 0.  The search starts at scipy's Student-t quantile, which lies
-    within a few hundred doubles of c except where c is near 0 (alpha near
-    0.5 for GREATER, near 1 for TWO_SIDED).  Past |t| ~ 1.3e154, t*t overflows
-    and the p-value reads 0, as it would for a row; only the search probes
-    there, so it runs with the overflow warning off.
-    """
+def _region(lower, upper, sidedness: Sidedness) -> tuple:
+    """(lower, upper), with NaN (which compares False) on the side ``sidedness`` does not test."""
+    if sidedness is Sidedness.GREATER:
+        return math.nan, upper
     if sidedness is Sidedness.LESS:
-        return _t_critical_value(n, alpha, Sidedness.GREATER)
+        return lower, math.nan
+    return lower, upper
+
+
+def _in_region(stat: np.ndarray, region: tuple) -> np.ndarray:
+    """Which statistics fall in the critical region (lo, hi): stat <= lo or stat >= hi."""
+    return (stat <= region[0]) | (stat >= region[1])
+
+
+@functools.lru_cache(maxsize=_CRITICAL_CACHE)
+def _t_critical_region(n: int, alpha: float, sidedness: Sidedness) -> tuple[float, float]:
+    """The critical region of the t statistic of n values at level alpha.
+
+    Its upper bound c is the smallest double whose p-value is <= alpha:
+    GREATER's p over every double, or TWO_SIDED's over |t| >= 0.  The t
+    p-values mirror about 0, so the lower bound is -c, which is exact.  The
+    search starts at scipy's Student-t quantile, within a few hundred doubles
+    of c except near c = 0 (alpha near 0.5 for GREATER, near 1 for
+    TWO_SIDED).  Past |t| ~ 1.3e154, t*t overflows and the p-value reads 0,
+    as it would for a row; only the search probes there, so it runs with
+    the overflow warning off.
+    """
     two_sided = sidedness is Sidedness.TWO_SIDED
+    side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
     guess = -stdtrit(n - 1, alpha / 2 if two_sided else alpha)
     with np.errstate(over="ignore"):
         ordinal = _first(
-            lambda o: _t_p_value(_doubles(o), n - 1, sidedness) <= alpha,
+            lambda o: _t_p_value(_doubles(o), n - 1, side) <= alpha,
             0 if two_sided else -_INF_ORDINAL,
             _INF_ORDINAL,
             _ordinal(guess),
         )
-    return float(_doubles(np.array(ordinal)))
-
-
-def _t_reject(stat: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:
-    """Which t statistics of samples of size ``n`` a level-alpha test rejects.
-
-    NaN never rejects and +inf rejects on the upper side, as their p-values do.
-    """
-    c = _t_critical_value(n, alpha, sidedness)
-    if sidedness is Sidedness.GREATER:
-        return stat >= c
-    if sidedness is Sidedness.LESS:
-        return stat <= -c  # -stat >= c: negation is exact
-    return np.abs(stat) >= c
+    c = float(_doubles(np.array(ordinal)))
+    return _region(-c, c, sidedness)
 
 
 @functools.lru_cache(maxsize=_CRITICAL_CACHE)
-def _w_critical_values(n: int, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
-    """(k_lo, k_hi): a tie-free W+ of n nonzero values rejects iff W+ <= k_lo or W+ >= k_hi.
+def _w_critical_region(n: int, alpha: float, sidedness: Sidedness) -> tuple[float, float]:
+    """The critical region of a tie-free W+ of n nonzero values at level alpha.
 
     p is the exact p-value up to ``AUTO_EXACT_MAX_N`` and the normal
-    approximation above, as in the scalar test.  k_hi is the smallest k with
-    p(k) <= alpha on the upper side; -1 and n(n+1)/2 + 1 stand for a side
-    that never rejects.  Both p-values mirror exactly about the centre
-    n(n+1)/4 (the exact sf is the mirrored cdf, and the normal arguments are
-    exact multiples of 1/4), so the lower side is the mirror of the upper:
-    LESS rejects k iff GREATER rejects n(n+1)/2 - k, and TWO_SIDED, whose p
-    is 1 at the centre and monotone on each half, searches the upper half.
-    The search starts at the normal approximation's quantile.
+    approximation above, as in the scalar test.  The upper bound k is the
+    smallest k with p(k) <= alpha: GREATER's p over the support, or
+    TWO_SIDED's, 1 at the centre and monotone on each half, over the upper
+    half; if none rejects, k is one past the support.  Both p-values mirror
+    exactly about the centre n(n+1)/4 (the exact sf is the mirrored cdf, and
+    the normal arguments are exact multiples of 1/4), so the lower bound is
+    n(n+1)/2 - k.  The search starts at the normal approximation's quantile.
     """
     top = n * (n + 1) // 2
     p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
     two_sided = sidedness is Sidedness.TWO_SIDED
-    side = sidedness if two_sided else Sidedness.GREATER
+    side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
     sd = math.sqrt(top * (2 * n + 1) / 12.0)
     # At alpha = 1 the quantile is infinite, so the guess is clamped to the support.
     z = ndtri(alpha / 2 if two_sided else alpha)
     guess = math.ceil(min(max(top / 2.0 + 0.5 - sd * z, 0.0), top))
-    k_hi = _first(
+    k = _first(
         lambda k: p_value(k, n, side) <= alpha, (top + 1) // 2 if two_sided else 0, top + 1, guess
     )
-    if sidedness is Sidedness.GREATER:
-        return -1, k_hi
-    if sidedness is Sidedness.LESS:
-        return top - k_hi, top + 1
-    return top - k_hi, k_hi
-
-
-def _w_reject(w: np.ndarray, n: int, alpha: float, sidedness: Sidedness) -> np.ndarray:
-    """Which tie-free W+ of n nonzero values a level-alpha test rejects."""
-    k_lo, k_hi = _w_critical_values(n, alpha, sidedness)
-    return (w <= k_lo) | (w >= k_hi)
+    return _region(top - k, k, sidedness)
 
 
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the t test over the rows of ``x``.
 
-    A row rejects when its t statistic reaches the cached critical value,
-    the smallest double whose Student-t p-value is at most alpha: the rule
-    ``p <= alpha`` wherever that p-value is monotone.  Zero-variance rows
-    are degenerate and never reject.
+    A row rejects when its t statistic falls in the cached critical region
+    of the Student-t p-value: the rule ``p <= alpha`` wherever that p-value
+    is monotone.  Zero-variance rows are degenerate and never reject.
     """
     n = x.shape[1]
     # The operations of x.mean(axis=1) and x.std(axis=1, ddof=1), so the
@@ -319,16 +309,16 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
     sd = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1))
     ok = sd != 0.0
     stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
-    reject = ok & _t_reject(stat, n, alpha, sidedness)
+    reject = ok & _in_region(stat, _t_critical_region(n, alpha, sidedness))
     return int(np.count_nonzero(reject)), int(mean.size - np.count_nonzero(ok))
 
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the signed-rank test over the rows of ``x``.
 
-    A tie-free row without zeros rejects when its integer W+ reaches a
-    cached critical value, the first support point whose p-value is at most
-    alpha: the rule ``p <= alpha``, since W+ takes only support values.
+    A tie-free row without zeros rejects when its integer W+ falls in the
+    cached critical region, searched over the support: the rule
+    ``p <= alpha``, since W+ takes only support values.
     Rows with zeros or tied magnitudes take the scalar test, and all-zero
     rows are degenerate.
 
@@ -391,11 +381,10 @@ def _rank_rejections(
     np.bitwise_or(key, x > 0.0, out=key)
     key.sort(axis=1)
     coarse = _coarse_rows(key)
-    # W+ <= n(n+1)/2 fits int32 below n = 65536, far above _KEY32_MAX_N, and
-    # a signed W+ compares with a k_lo of -1 under any casting rule.
-    signed = np.dtype(f"i{key.itemsize}")
-    w = np.bitwise_and(key, 1, out=key).view(signed) @ np.arange(1, n + 1, dtype=signed)
-    return int(np.count_nonzero(~coarse & _w_reject(w, n, alpha, sidedness))), coarse
+    # W+ <= n(n+1)/2 fits uint32 up to n = 92681, far above _KEY32_MAX_N.
+    w = np.bitwise_and(key, 1, out=key) @ np.arange(1, n + 1, dtype=key.dtype)
+    reject = ~coarse & _in_region(w, _w_critical_region(n, alpha, sidedness))
+    return int(np.count_nonzero(reject)), coarse
 
 
 def _coarse_rows(key: np.ndarray) -> np.ndarray:
@@ -489,6 +478,13 @@ def _simulate_rejections(
 # public operations
 # ---------------------------------------------------------------------------
 
+def _integral(n, what: str) -> int:
+    """``n`` as an int; 20.0 and np.int64(20) pass, and 20.9, NaN and inf raise."""
+    if not isinstance(n, int) and not float(n).is_integer():
+        raise DomainError(f"{what} must be an integer, got {n}")
+    return int(n)
+
+
 def estimate_power(
     test_kind: TestKind, params: MixtureParams, n: int, config: SimConfig
 ) -> PowerEstimate:
@@ -498,9 +494,10 @@ def estimate_power(
     zero under the mixture) are tallied in ``n_degenerate`` and never count
     as rejections.
     """
+    n = _integral(n, "sample size")
     if n < 2:
         raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
-    return _simulate_rejections(params, int(n), config, (test_kind,))[test_kind]
+    return _simulate_rejections(params, n, config, (test_kind,))[test_kind]
 
 
 def estimate_size(test_kind: TestKind, n: int, config: SimConfig) -> PowerEstimate:
@@ -523,7 +520,7 @@ def power_ratio_surface(
     Monte Carlo error (power_t < 10 * se_t, or no rejections at all).
     """
     theta_axis = [float(t) for t in theta_axis]
-    n_axis = [int(n) for n in n_axis]
+    n_axis = [_integral(n, "sample size") for n in n_axis]
     if not theta_axis or not n_axis:
         raise DomainError("theta and n axes must be nonempty")
     for n in n_axis:
@@ -583,6 +580,7 @@ def _sample_size_searches(
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
+    n_cap = _integral(n_cap, "sample-size cap")
     if n_cap < 2:
         raise DomainError(f"sample-size cap must be at least 2, got {n_cap}")
     traces: dict[TestKind, list[Probe]] = {kind: [] for kind in kinds}

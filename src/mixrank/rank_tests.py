@@ -307,7 +307,8 @@ def exact_null_pmf(n: int) -> NullPmf:
     table's mean and variance recover n(n+1)/4 and n(n+1)(2n+1)/24 as
     rationals.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= EXACT_NULL_MAX_N:
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not integer or not 1 <= n <= EXACT_NULL_MAX_N:
         raise DomainError(f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {n}")
     n = int(n)
     with _pmf_lock:

@@ -2,8 +2,8 @@
 
 Each test prints one ``ACCEPTANCE C<k> PASS`` line on success (visible with
 ``pytest -s`` / ``-v``); a failed criterion fails its test.  Replication
-budgets follow the criteria; the whole module takes about 45 s on a 2-vCPU
-Linux host, most of it in C7 (~25 s) and C3 (~16 s).
+budgets follow the criteria; the whole module takes about 40 s on a 2-vCPU
+Linux host, most of it in C7 (~21 s) and C3 (~14 s).
 """
 
 import math

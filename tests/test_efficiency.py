@@ -101,6 +101,19 @@ def test_are_continuous_at_zero():
             assert are(1e-6, sigma, variant) == pytest.approx(
                 are(0.0, sigma, variant), abs=1e-8
             )
+    # Where erf's argument is subnormal, erf has lost bits or underflowed:
+    # the value is the mu -> 0 limit itself.
+    for sigma in [0.3, 1.0, 2.5, 1e150]:
+        for mu in [5e-324, 1e-320, 1e-310]:
+            for sign in (1.0, -1.0):
+                for variant in AreVariant:
+                    assert are(sign * mu, sigma, variant) == are(0.0, sigma, variant)
+    assert are(1e-307, 2.65e25) == are(0.0, 2.65e25) == pytest.approx(2.72e-51, rel=1e-3)
+    # Where it is normal, the value is the closed form itself, to the bit.
+    for sigma in [0.3, 1.0, 2.5, 1e150]:
+        for mu in [1e-300 * max(1.0, sigma), 1e-9]:
+            slope = xi_w_slope_at_null(mu, sigma)
+            assert are(mu, sigma) == 3.0 * (slope / mu) * (slope / mu)
 
 
 def test_are_upper_bound():

@@ -128,9 +128,22 @@ def test_mc_se_consistency():
         assert est.test_kind is kind
 
 
-def test_estimate_power_validation():
+def test_estimate_power_validation(monkeypatch):
+    params = MixtureParams(0.5, 1.0, 1.0)
     with pytest.raises(InsufficientDataError):
-        estimate_power(TestKind.T, MixtureParams(0.5, 1.0, 1.0), 1, config())
+        estimate_power(TestKind.T, params, 1, config())
+    # An integral n of any type is its int, so it draws the same samples.
+    expected = estimate_power(TestKind.T, params, 20, config(nreps=50))
+    for n in (np.int64(20), 20.0, np.float64(20.0)):
+        assert estimate_power(TestKind.T, params, n, config(nreps=50)) == expected
+
+    def refuse(*args):
+        raise AssertionError("no draw before validation")
+
+    monkeypatch.setattr(power, "draw_sample", refuse)
+    for n in (20.9, 2.5, math.nan, math.inf, np.float64(20.5)):
+        with pytest.raises(DomainError):
+            estimate_power(TestKind.T, params, n, config())
 
 
 def test_size_is_near_level():
@@ -220,11 +233,21 @@ def test_surface_keeps_a_bounded_window_of_blocks(monkeypatch):
     assert built == [2]
 
 
-def test_power_ratio_surface_validation():
+def test_power_ratio_surface_validation(monkeypatch):
     with pytest.raises(DomainError):
         power_ratio_surface(1.0, 1.0, [], [20], config())
     with pytest.raises(DomainError):
         power_ratio_surface(1.0, 1.0, [1.2], [20], config())
+    rows = power_ratio_surface(1.0, 1.0, [0.5], [20.0, np.int64(21)], config(nreps=50))
+    assert [(row.n, type(row.n)) for row in rows] == [(20, int), (21, int)]
+
+    def refuse(*args):
+        raise AssertionError("no draw before validation")
+
+    monkeypatch.setattr(power, "draw_sample", refuse)
+    for n in (2.5, 20.9, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            power_ratio_surface(1.0, 1.0, [0.5], [20, n], config())
 
 
 def test_min_sample_size_separated_alternative():
@@ -271,6 +294,17 @@ def test_min_sample_size_validation_and_overflow():
     with pytest.raises(SearchOverflowError) as excinfo:
         min_sample_size(TestKind.T, MixtureParams(0.01, 0.1, 1.0), 0.9, cfg, n_cap=64)
     assert excinfo.value.partial  # probes are reported, not discarded
+    # An integral cap of any type is its int, and probes int sample sizes.
+    for n_cap in (64.0, np.int64(64)):
+        with pytest.raises(SearchOverflowError) as excinfo:
+            min_sample_size(TestKind.T, MixtureParams(0.01, 0.1, 1.0), 0.9, cfg, n_cap=n_cap)
+        assert [type(n) for n, _ in excinfo.value.partial] == [int] * 6
+    # A cap that is not an integer would never be probed, so never overflow.
+    for n_cap in (math.nan, math.inf, 63.5):
+        with pytest.raises(DomainError):
+            min_sample_size(TestKind.T, MixtureParams(0.5, 1.0, 1.0), 0.8, cfg, n_cap=n_cap)
+        with pytest.raises(DomainError):
+            empirical_are(1.0, 1.0, [0.5], 0.8, cfg, n_cap=n_cap)
 
 
 def test_search_probes_the_cap_itself():
@@ -471,22 +505,57 @@ def test_t_statistic_keeps_the_bits_of_mean_and_std(n, monkeypatch):
     x[2] = 1e8 + x[2]  # deviations far below the mean
     x[3] *= 2.0**-1000
     seen = []
-    t_reject_of = power._t_reject
 
-    def t_reject(stat, *args):
-        seen.append(stat.copy())
-        return t_reject_of(stat, *args)
+    class Bound:
+        # ndarray comparisons defer to a bound that opts out of ufuncs, so
+        # `stat <= lo` and `stat >= hi` hand it the statistics.
+        __array_ufunc__ = None
 
-    monkeypatch.setattr(power, "_t_reject", t_reject)
+        def __ge__(self, stat):
+            seen.append(stat.copy())
+            return np.zeros(stat.shape, dtype=bool)
+
+        __le__ = __ge__
+
+    monkeypatch.setattr(power, "_t_critical_region", lambda *args: (Bound(), Bound()))
     _, degenerate = power._t_rejections(x, 0.05, Sidedness.GREATER)
     mean, sd = x.mean(axis=1), x.std(axis=1, ddof=1)
     ok = sd != 0.0
     assert degenerate == int((~ok).sum()) >= 1
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0].view(np.int64), seen[1].view(np.int64))
     stat = seen[0]
     np.testing.assert_array_equal(
         stat[ok].view(np.int64), (mean[ok] / (sd[ok] / math.sqrt(n))).view(np.int64)
     )
     assert (stat[~ok] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 1), (0, 2**20), (-power._INF_ORDINAL, power._INF_ORDINAL)]
+)
+def test_first_finds_the_step_of_any_predicate(lo, hi):
+    # Calls: the window round, one gallop, then rounds that each leave at
+    # most 1/17 of the interval, and a last round over at most 16 points.
+    splits, width = 1, hi - lo
+    while width > power._WINDOW:
+        splits, width = splits + 1, width // (power._WINDOW + 1)
+    bound = 2 + splits
+    for guess in {lo - 2**40, lo - 1, lo, (lo + hi) // 2, hi - 1, hi, hi + 5}:
+        offsets = [0, 1e6, 2**60, *range(7, 10)]
+        steps = {lo, hi - 1, hi} | {guess + sign * int(d) for d in offsets for sign in (1, -1)}
+        for step in steps:
+            step = min(max(step, lo), hi)  # hi: no k in [lo, hi) rejects
+            sizes = []
+
+            def rejects(k):
+                assert k.dtype == np.int64 and 0 < k.size <= 64
+                assert lo <= k.min() and k.max() < hi
+                sizes.append(k.size)
+                return k >= step
+
+            assert power._first(rejects, lo, hi, guess) == step, (guess, step)
+            assert len(sizes) <= bound, (guess, step, len(sizes))
 
 
 def _doubles_around(c, k):
@@ -505,24 +574,33 @@ def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
         # The search itself, uncached: its probes reach |t| where t*t overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            c = power._t_critical_value.__wrapped__(n, alpha, sidedness)
-            ks = power._w_critical_values.__wrapped__(n, alpha, sidedness)
-        assert c == power._t_critical_value(n, alpha, sidedness)
-        assert ks == power._w_critical_values(n, alpha, sidedness)
+            t_region = power._t_critical_region.__wrapped__(n, alpha, sidedness)
+            w_region = power._w_critical_region.__wrapped__(n, alpha, sidedness)
+        assert t_region == power._t_critical_region(n, alpha, sidedness)
+        assert w_region == power._w_critical_region(n, alpha, sidedness)
+        # The side that sidedness does not test is NaN, and only that side.
+        never = {Sidedness.GREATER: [True, False], Sidedness.LESS: [False, True]}
+        for region in (t_region, w_region):
+            assert [math.isnan(b) for b in region] == never.get(sidedness, [False, False])
 
+        c = max(b for b in t_region if not math.isnan(b))
         near = _doubles_around(c, 64)
         stat = np.array([*near, *np.negative(near), 0.0, -0.0, np.inf, -np.inf, np.nan])
-        np.testing.assert_array_equal(
-            power._t_reject(stat, n, alpha, sidedness),
-            _t_p_value(stat, n - 1, sidedness) <= alpha,
-        )
         # W+ takes only the values of its support, so all of them are checked:
-        # a superset of k - 2 .. k + 2 around each critical value.
+        # a superset of k - 2 .. k + 2 around each critical value.  The
+        # evaluators hold W+ unsigned, on 32 or 64 bits.
         w = np.arange(n * (n + 1) // 2 + 1)
         p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
-        np.testing.assert_array_equal(
-            power._w_reject(w, n, alpha, sidedness), p_value(w, n, sidedness) <= alpha
-        )
+        with warnings.catch_warnings():
+            # NaN and out-of-range bounds compare False, without a warning.
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(
+                power._in_region(stat, t_region), _t_p_value(stat, n - 1, sidedness) <= alpha
+            )
+            for dtype in (np.uint32, np.uint64):
+                np.testing.assert_array_equal(
+                    power._in_region(w.astype(dtype), w_region), p_value(w, n, sidedness) <= alpha
+                )
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.9])
@@ -536,7 +614,7 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
     p = _t_p_value(mean[ok] / (sd[ok] / math.sqrt(n)), n - 1, sidedness)
     expected_t = (int((p <= alpha).sum()), int((~ok).sum()))
     expected_w = power._wilcoxon_rejections(x, alpha, sidedness)  # fills the W cache
-    power._t_critical_value(n, alpha, sidedness)
+    power._t_critical_region(n, alpha, sidedness)
 
     def refuse(*args):
         raise AssertionError("no p-value per row")
@@ -547,7 +625,7 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
     assert power._wilcoxon_rejections(x, alpha, sidedness) == expected_w
 
 
-@pytest.mark.parametrize("sidedness", [Sidedness.GREATER, Sidedness.TWO_SIDED])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
     # A search that misses the cache starts at the quantile of scipy's
     # Student-t or normal law, so it makes a few vectorised p-value calls
@@ -564,10 +642,10 @@ def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
     for n in [*range(2, 61), 100, 1000, 5000]:
         for alpha in (0.01, 0.05):
             calls.clear()
-            power._t_critical_value.__wrapped__(n, alpha, sidedness)
+            power._t_critical_region.__wrapped__(n, alpha, sidedness)
             assert len(calls) <= 10, (n, alpha)
             calls.clear()
-            power._w_critical_values.__wrapped__(n, alpha, sidedness)
+            power._w_critical_region.__wrapped__(n, alpha, sidedness)
             assert len(calls) <= 3, (n, alpha)
 
 

@@ -274,6 +274,10 @@ def test_exact_null_pmf_domain():
         exact_null_pmf(0)
     with pytest.raises(DomainError):
         exact_null_pmf(61)
+    for n in (True, False, np.bool_(True), 20.0):
+        with pytest.raises(DomainError):
+            exact_null_pmf(n)
+    assert exact_null_pmf(np.int64(20)) is exact_null_pmf(20)
 
 
 def test_null_pmf_tail_lookups():
