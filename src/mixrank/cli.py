@@ -5,10 +5,15 @@ count included): rerunning produces byte-identical files.  File outputs get
 a JSON manifest sidecar recording the invocation and a sha256 checksum of
 the payload.
 
+In-process calls of :func:`main` share one argument parser, built on first
+use: parsing writes only into each call's own namespace, and every default
+is an immutable value.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 search/compute error.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -187,10 +192,11 @@ def cmd_grid(args: argparse.Namespace) -> None:
     grid = dominance_grid(
         args.mu_range, args.sigma_range, args.steps_mu, args.steps_sigma, _VARIANTS[args.variant]
     )
+    sigmas = [_fmt(sigma) for sigma in grid.sigma_axis.tolist()]
     lines = ["mu,sigma,are"]
-    for i, mu in enumerate(grid.mu_axis):
-        for j, sigma in enumerate(grid.sigma_axis):
-            lines.append(f"{_fmt(mu)},{_fmt(sigma)},{_fmt(grid.values[i, j])}")
+    for mu, row in zip(grid.mu_axis.tolist(), grid.values.tolist()):
+        mu_label = _fmt(mu)
+        lines.extend(f"{mu_label},{sigma},{_fmt(value)}" for sigma, value in zip(sigmas, row))
     _emit(args, "grid", "\n".join(lines) + "\n")
 
 
@@ -270,9 +276,10 @@ def cmd_test(args: argparse.Namespace) -> None:
 
 def cmd_null_dist(args: argparse.Namespace) -> None:
     pmf = exact_null_pmf(args.n)
+    total = 1 << pmf.n
+    # count / total is NullPmf.probability's correctly rounded quotient, in _fmt's format.
     lines = ["k,count,probability"]
-    for k, count in enumerate(pmf.counts):
-        lines.append(f"{k},{count},{_fmt(pmf.probability(k))}")
+    lines.extend(f"{k},{count},{count / total:.9g}" for k, count in enumerate(pmf.counts))
     _emit(args, "null-dist", "\n".join(lines) + "\n")
 
 
@@ -290,6 +297,7 @@ def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixrank",

@@ -81,7 +81,11 @@ def are(mu: float, sigma: float, variant: AreVariant = AreVariant.EFFICACY_DERIV
     _check_mu_sigma(mu, sigma)
     x = _over_root_one_plus_square(mu, sigma, 2.0)
     if abs(x) < sys.float_info.min:
-        derived = (6.0 / math.pi) / (1.0 + sigma * sigma)
+        # Past 1e153 the square could overflow; 1 + sigma^2 rounds to sigma^2 there.
+        if sigma < 1e153:
+            derived = (6.0 / math.pi) / (1.0 + sigma * sigma)
+        else:
+            derived = (6.0 / math.pi) / sigma / sigma
     else:
         ratio = math.erf(x) / mu
         derived = 3.0 * ratio * ratio
@@ -123,10 +127,8 @@ def dominance_grid(
         raise DomainError("axis range ends must be finite")
     mu_axis = np.linspace(mu_lo, mu_hi, steps_mu)
     sigma_axis = np.linspace(sigma_lo, sigma_hi, steps_sigma)
-    values = np.empty((steps_mu, steps_sigma))
-    for i, m in enumerate(mu_axis):
-        for j, s in enumerate(sigma_axis):
-            values[i, j] = are(float(m), float(s), variant)
+    sigmas = sigma_axis.tolist()
+    values = np.array([[are(m, s, variant) for s in sigmas] for m in mu_axis.tolist()])
     values.flags.writeable = False
     mu_axis.flags.writeable = False
     sigma_axis.flags.writeable = False

@@ -257,7 +257,7 @@ class NullPmf:
     def _support_index(self, k):
         """``k`` as an index, once every entry of it lies inside the support."""
         top = self.support_max
-        if isinstance(k, (int, np.integer)):  # no array overhead: null-dist looks up every k
+        if isinstance(k, (int, np.integer)):  # no array overhead on a scalar lookup
             outside = () if 0 <= k <= top else (k,)
         else:
             k = np.asarray(k)

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixrank import __version__, power
-from mixrank.cli import main
+from mixrank.cli import build_parser, main
 from mixrank.efficiency import AreVariant, are, efficacy_t, efficacy_w
 from mixrank.errors import SearchOverflowError
 from mixrank.mixture import MixtureParams
@@ -63,6 +64,9 @@ def test_are_limit_at_mu_zero(capsys):
     assert code == 0
     value = json.loads(out)["are"]
     assert value == pytest.approx((6.0 / 3.141592653589793) / 5.0, abs=1e-12)
+    # Past sigma ~1.34e154 sigma^2 overflows; the limit read 0 there.
+    _, out, _ = run_cli(capsys, "are", "--mu", "0", "--sigma", "1.35e154")
+    assert out.splitlines()[0] == "are 1.04793378e-308"
 
 
 def test_are_json_includes_efficacy_fields(capsys):
@@ -124,6 +128,30 @@ def test_grid_csv(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(scalar, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "mu_range, sigma_range, variant",
+    [
+        ((0.0, 3.25), (0.22, 3.3), AreVariant.EFFICACY_DERIVED),
+        ((-1.0, 1e-322), (1e152, 1e156), AreVariant.AS_PRINTED),
+    ],
+)
+def test_grid_rows_render_the_library_values(capsys, mu_range, sigma_range, variant):
+    flag = {AreVariant.EFFICACY_DERIVED: "derived", AreVariant.AS_PRINTED: "printed"}[variant]
+    code, out, _ = run_cli(
+        capsys, "grid", "--mu-range", "{!r},{!r}".format(*mu_range),
+        "--sigma-range", "{!r},{!r}".format(*sigma_range),
+        "--steps-mu", "100", "--steps-sigma", "100", "--variant", flag,
+    )
+    assert code == 0
+    fmt = lambda x: format(x, ".9g")
+    expected = ["mu,sigma,are"] + [
+        f"{fmt(mu)},{fmt(sigma)},{fmt(are(mu, sigma, variant))}"
+        for mu in np.linspace(*mu_range, 100).tolist()
+        for sigma in np.linspace(*sigma_range, 100).tolist()
+    ]
+    assert out.splitlines() == expected
+
+
 def test_negative_comma_lists_parse_with_or_without_equals(capsys):
     grid = ("grid", "--sigma-range", "0.5,1", "--steps-mu", "2", "--steps-sigma", "2")
     spaced = run_cli(capsys, *grid, "--mu-range", "-1,1")
@@ -169,6 +197,27 @@ def test_manifest_written_with_matching_checksum(tmp_path, capsys):
     assert manifest["subcommand"] == "grid"
     assert manifest["tool_version"]
     assert manifest["parameters"]["steps_mu"] == 3
+
+
+def test_parser_is_shared_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    curve = ["curve", "--mu", "1", "--sigma", "1", "--theta", "0.3", "--n", "20", "--nreps", "50"]
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert run_cli(capsys, *curve, "--threads", "2", "--out", str(first))[0] == 0
+    assert run_cli(capsys, "null-dist", "--n", "4")[0] == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["grid", "--mu-range", "0,1", "--steps-mu", "7"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *curve, "--out", str(last))[0] == 0
+    assert json.loads((tmp_path / "first.csv.manifest.json").read_text())["parallelism"] == 2
+    manifest = json.loads((tmp_path / "last.csv.manifest.json").read_text())
+    assert manifest["parallelism"] == 1
+    assert manifest["parameters"] == {
+        "alpha": 0.05, "mu": 1.0, "n": [20], "nreps": 50, "out": str(last), "seed": 0,
+        "sided": "greater", "sigma": 1.0, "subcommand": "curve", "theta": [0.3], "threads": 1,
+    }
+    assert last.read_bytes() == first.read_bytes()
 
 
 def test_manifest_write_failure_is_data_error(tmp_path, capsys):
@@ -609,5 +658,20 @@ _WIDE_N_ARGV = ["curve", "--mu", "0.2", "--sigma", "1", "--theta", "0,0.3",
 )
 def test_payload_digests_greater(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The null-dist payload is integer arithmetic and one correctly rounded
+# division per row, so these digests hold on every platform.
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (25, "20d7e16045d98d6d69f97b4f9b0579cbbc4e974dc74b835c12b5046ff7d73a60"),
+        (60, "3fb7e1306426af4fdf2e3aea4f4f0c34755167c14da53bd447e2599b0584b0e7"),
+    ],
+)
+def test_payload_digests_null_dist(capsys, n, digest):
+    code, out, _ = run_cli(capsys, "null-dist", "--n", str(n))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -116,6 +116,19 @@ def test_are_continuous_at_zero():
             assert are(mu, sigma) == 3.0 * (slope / mu) * (slope / mu)
 
 
+@pytest.mark.parametrize("sigma", [1.35e154, 1e155, 1e200])
+@pytest.mark.parametrize("variant", list(AreVariant))
+def test_are_limit_at_mu_zero_past_the_square_overflow(sigma, variant):
+    # sigma^2 overflows past ~1.34e154; the limit read 0.0 there, while a
+    # tiny normal mu next to it read (6/pi)/sigma^2.  The values are
+    # subnormal or zero, so the tolerance is wide against their lost bits.
+    c = variant.constant / 3.0
+    limit = c * (6.0 / math.pi) / sigma / sigma
+    for mu in (0.0, 5e-324, -5e-324):
+        assert are(mu, sigma, variant) == pytest.approx(limit, rel=1e-9, abs=0.0)
+    assert are(0.0, sigma, variant) == pytest.approx(are(1e-100, sigma, variant), rel=1e-9, abs=0.0)
+
+
 def test_are_upper_bound():
     rng = seeded_rng(101, "are-bound")
     for _ in range(100):
