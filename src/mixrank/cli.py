@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -105,33 +105,22 @@ def _json(obj) -> str:
     return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar written next to every file output."""
-
-    subcommand: str
-    parameters: dict
-    master_seed: int
-    parallelism: int
-    tool_version: str
-    output_checksum: str
-
-
 def _write_output(path: str, payload: str, subcommand: str, args: argparse.Namespace) -> None:
+    """Write ``payload`` to ``path``, with the reproducibility manifest as a sidecar."""
     data = payload.encode("utf-8")
     out = Path(path)
-    manifest = RunManifest(
-        subcommand=subcommand,
-        parameters={
+    manifest = {
+        "subcommand": subcommand,
+        "parameters": {
             key: value
             for key, value in sorted(vars(args).items())
             if key not in ("func",) and not key.startswith("_")
         },
-        master_seed=int(getattr(args, "seed", 0) or 0),
-        parallelism=int(getattr(args, "threads", 1) or 1),
-        tool_version=__version__,
-        output_checksum="sha256:" + hashlib.sha256(data).hexdigest(),
-    )
+        "master_seed": int(getattr(args, "seed", 0) or 0),
+        "parallelism": int(getattr(args, "threads", 1) or 1),
+        "tool_version": __version__,
+        "output_checksum": "sha256:" + hashlib.sha256(data).hexdigest(),
+    }
     try:
         out.write_bytes(data)
         out.with_name(out.name + ".manifest.json").write_text(_json(manifest), encoding="utf-8")

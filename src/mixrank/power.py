@@ -30,13 +30,12 @@ cache miss costs one vectorised p-value call in the usual case.  The lower
 bound is its mirror about the null centre: -c for t, n(n+1)/2 - k for W+.
 The rules reject the same rows wherever that p-value is monotone in floating
 point; tests/test_power.py checks it next to every critical value.
-The signed-rank evaluator ranks rows of up to ``_KEY32_MAX_N`` values on
-32-bit keys made from the float32 rounding of each value.  That rounding is
-monotone, so a row whose float32 magnitudes are distinct and nonzero has the
-ranks, and the W+, of its float64 magnitudes; the few other rows, and longer
-rows, are ranked on the float64 bits.  The t evaluator sums each row once
-for both its mean and its deviations.
-Neither shortcut changes a rejection count.
+The signed-rank evaluator ranks rows on a ladder of key widths: the float32
+rounding of each value for rows of up to ``_KEY32_MAX_N`` values, the float64
+bits for rows still coarse and longer rows, and the scalar test for rows with
+a float64 tie or zero.  That rounding is monotone, so a row whose float32
+magnitudes are distinct and nonzero has the ranks, and the W+, of its float64
+magnitudes.  The t evaluator uses the t statistic of :mod:`mixrank.rank_tests`.
 ``empirical_are`` runs its T and W searches as one group over shared draws:
 the group probes each n once, with both tests, until their verdicts differ,
 and then splits in two whose intervals never meet again, so no (cell, n) is
@@ -61,6 +60,7 @@ from .rank_tests import (
     Sidedness,
     WilcoxonMode,
     _t_p_value,
+    _t_statistics,
     _wilcoxon_p_exact,
     _wilcoxon_p_normal,
     wilcoxon_test,
@@ -112,6 +112,12 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"significance level must lie in (0, 1), got {self.alpha}")
+        for name, what in (
+            ("nreps", "replication count"),
+            ("master_seed", "master seed"),
+            ("max_parallelism", "parallelism"),
+        ):
+            object.__setattr__(self, name, _integral(getattr(self, name), what))
         if self.nreps < 1:
             raise DomainError(f"replication count must be positive, got {self.nreps}")
         if self.max_parallelism < 1:
@@ -300,17 +306,9 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
     of the Student-t p-value: the rule ``p <= alpha`` wherever that p-value
     is monotone.  Zero-variance rows are degenerate and never reject.
     """
-    n = x.shape[1]
-    # The operations of x.mean(axis=1) and x.std(axis=1, ddof=1), so the
-    # same bits, with the row sums taken once instead of twice.
-    mean = np.add.reduce(x, axis=1) / n
-    dev = x - mean[:, None]
-    np.square(dev, out=dev)
-    sd = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1))
-    ok = sd != 0.0
-    stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
-    reject = ok & _in_region(stat, _t_critical_region(n, alpha, sidedness))
-    return int(np.count_nonzero(reject)), int(mean.size - np.count_nonzero(ok))
+    stat, ok = _t_statistics(x)
+    reject = ok & _in_region(stat, _t_critical_region(x.shape[1], alpha, sidedness))
+    return int(np.count_nonzero(reject)), int(ok.size - np.count_nonzero(ok))
 
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
@@ -330,32 +328,24 @@ def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> t
     among the coarse rows, those with a float32 zero or tie, which the
     exact 64-bit ranking takes again.
     """
-    if x.shape[1] > _KEY32_MAX_N:
-        return _wilcoxon_rejections_64(x, alpha, sidedness)
-    rejections, coarse = _rank_rejections(_float32_keys(x), x, alpha, sidedness)
-    if not coarse.any():
-        return rejections, 0
-    exact, degenerate = _wilcoxon_rejections_64(x[coarse], alpha, sidedness)
-    return rejections + exact, degenerate
-
-
-def _float32_keys(x: np.ndarray) -> np.ndarray:
-    """The bits of ``x`` rounded to float32, shifted left by one to drop the sign."""
-    # Magnitudes beyond float32's range become inf, which still sorts last.
-    with np.errstate(over="ignore"):
-        key = x.astype(np.float32).view(np.uint32)
-    return np.left_shift(key, 1, out=key)
-
-
-def _wilcoxon_rejections_64(
-    x: np.ndarray, alpha: float, sidedness: Sidedness
-) -> tuple[int, int]:
-    """:func:`_wilcoxon_rejections` ranked on the float64 bits: exact for every row."""
-    rejections, slow = _rank_rejections(np.left_shift(x.view(np.uint64), 1), x, alpha, sidedness)
+    rejections = 0
+    for bits in (32, 64) if x.shape[1] <= _KEY32_MAX_N else (64,):
+        if bits == 64:
+            key = np.left_shift(x.view(np.uint64), 1)
+        else:
+            # Magnitudes beyond float32's range become inf, which still sorts last.
+            with np.errstate(over="ignore"):
+                key = x.astype(np.float32).view(np.uint32)
+            np.left_shift(key, 1, out=key)
+        count, coarse = _rank_rejections(key, x, alpha, sidedness)
+        rejections += count
+        if not coarse.any():
+            return rejections, 0
+        x = x[coarse]
     # Zeros or tied magnitudes have probability zero under the mixture but
     # are handled exactly anyway via the scalar test.
     degenerate = 0
-    for row in x[slow]:
+    for row in x:
         if not (row != 0.0).any():
             degenerate += 1
             continue
@@ -479,10 +469,18 @@ def _simulate_rejections(
 # ---------------------------------------------------------------------------
 
 def _integral(n, what: str) -> int:
-    """``n`` as an int; 20.0 and np.int64(20) pass, and 20.9, NaN and inf raise."""
-    if not isinstance(n, int) and not float(n).is_integer():
+    """``n`` as an int; 20.0 and np.int64(20) pass, and True, 20.9, NaN and inf raise."""
+    if isinstance(n, (bool, np.bool_)) or (not isinstance(n, int) and not float(n).is_integer()):
         raise DomainError(f"{what} must be an integer, got {n}")
     return int(n)
+
+
+def _sample_size(n) -> int:
+    """``n`` as an int sample size, which must be at least 2."""
+    n = _integral(n, "sample size")
+    if n < 2:
+        raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
+    return n
 
 
 def estimate_power(
@@ -494,10 +492,7 @@ def estimate_power(
     zero under the mixture) are tallied in ``n_degenerate`` and never count
     as rejections.
     """
-    n = _integral(n, "sample size")
-    if n < 2:
-        raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
-    return _simulate_rejections(params, n, config, (test_kind,))[test_kind]
+    return _simulate_rejections(params, _sample_size(n), config, (test_kind,))[test_kind]
 
 
 def estimate_size(test_kind: TestKind, n: int, config: SimConfig) -> PowerEstimate:
@@ -520,12 +515,9 @@ def power_ratio_surface(
     Monte Carlo error (power_t < 10 * se_t, or no rejections at all).
     """
     theta_axis = [float(t) for t in theta_axis]
-    n_axis = [_integral(n, "sample size") for n in n_axis]
+    n_axis = [_sample_size(n) for n in n_axis]
     if not theta_axis or not n_axis:
         raise DomainError("theta and n axes must be nonempty")
-    for n in n_axis:
-        if n < 2:
-            raise InsufficientDataError(f"power estimation needs n >= 2, got {n}")
     # Every parameter set is checked before the first cell is simulated.
     params_axis = [MixtureParams(theta, mu, sigma) for theta in theta_axis]
     cells = [(params, n) for params in params_axis for n in n_axis]

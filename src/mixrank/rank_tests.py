@@ -98,16 +98,54 @@ class TestOutcome:
 # t statistic
 # ---------------------------------------------------------------------------
 
+# A square below 2**-1022 is subnormal and rounds to a multiple of 2**-1074.
+# Where the squares of a row sum to at least 2**-960, that loses less than
+# n * 2**-114 of the sum, far below a double's rounding; below it, as where a
+# square overflows, the row is taken again at a scale where neither happens.
+_T_SQUARES_MIN = 2.0**-960
+
+
+def _t_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t statistics of the rows of ``x`` (0.0 at zero variance), and which rows vary.
+
+    t does not depend on scale, so a row whose squared deviations overflow or
+    sum below ``_T_SQUARES_MIN`` is taken again scaled by 2**-e, where 2**e
+    bounds its largest magnitude; powers of two scale exactly.  Other rows
+    keep the bits of ``x.mean()`` and ``x.std(ddof=1)``.
+    """
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, squares = _mean_and_squares(x)
+    ok = (squares >= _T_SQUARES_MIN) & (squares < np.inf)
+    if not ok.all():
+        rows = x[~ok]
+        exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+        mean[~ok], squares[~ok] = _mean_and_squares(np.ldexp(rows, -exponent[:, None]))
+        ok = squares != 0.0
+    sd = np.sqrt(squares / (n - 1))
+    stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
+    return stat, ok
+
+
+def _mean_and_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of ``x`` and the sums of squared deviations from them."""
+    # The operations of x.mean(axis=1) and x.std(axis=1, ddof=1), so the
+    # same bits, with the row sums taken once instead of twice.
+    mean = np.add.reduce(x, axis=1) / x.shape[1]
+    dev = x - mean[:, None]
+    np.square(dev, out=dev)
+    return mean, np.add.reduce(dev, axis=1)
+
+
 def t_statistic(sample) -> float:
     """One-sample t statistic: mean / (unbiased sd / sqrt(n))."""
     x = as_sample(sample).values
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         raise InsufficientDataError("t statistic needs at least two observations")
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
+    stat, ok = _t_statistics(x[None])
+    if not ok[0]:
         raise DegenerateSampleError("sample has zero variance")
-    return float(x.mean()) / (sd / math.sqrt(n))
+    return float(stat[0])
 
 
 def _student_t_sf(t, df):

@@ -269,6 +269,20 @@ def test_curve_rerun_reproduces_manifest_checksum(tmp_path, capsys):
     assert m1["output_checksum"] == m2["output_checksum"]
 
 
+def test_curve_with_a_huge_contaminant_runs_without_warnings():
+    # Squared deviations of the draws overflow; the t statistic takes those rows rescaled.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["--mu", "0", "--sigma", "1e200", "--theta", "0.5", "--n", "20", "--nreps", "100"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mixrank", "curve", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    header, row = done.stdout.splitlines()
+    assert row.startswith("0.5,20,")
+
+
 def test_power_alias(capsys):
     code, out, _ = run_cli(
         capsys, "power", "--mu", "1", "--sigma", "1",

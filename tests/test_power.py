@@ -30,6 +30,7 @@ from mixrank.rank_tests import (
     _t_p_value,
     _wilcoxon_p_exact,
     _wilcoxon_p_normal,
+    t_statistic,
     wilcoxon_test,
 )
 from mixrank.streams import replication_rng
@@ -56,6 +57,27 @@ def test_sim_config_validation():
         config(nreps=0)
     with pytest.raises(DomainError):
         config(max_parallelism=0)
+
+
+@pytest.mark.parametrize("field", ["nreps", "master_seed", "max_parallelism"])
+def test_sim_config_integer_fields(field):
+    for bad in (100.5, math.nan, math.inf, True, False, np.True_):
+        with pytest.raises(DomainError):
+            config(**{field: bad})
+    for value in (100.0, np.int64(100), np.float64(100.0)):
+        stored = getattr(config(**{field: value}), field)
+        assert type(stored) is int and stored == 100
+    if field == "master_seed":
+        assert config(master_seed=-7).master_seed == -7
+
+
+def test_integral_fields_draw_as_their_ints():
+    params = MixtureParams(0.5, 1.0, 1.0)
+    expected = estimate_power(TestKind.T, params, 20, config(nreps=100, master_seed=3))
+    assert expected.nreps == 100
+    for fields in ({"nreps": 100.0}, {"master_seed": 3.0}, {"max_parallelism": 2.0}):
+        cfg = config(**{"nreps": 100, "master_seed": 3, **fields})
+        assert estimate_power(TestKind.T, params, 20, cfg) == expected
 
 
 def test_estimate_power_deterministic_across_parallelism():
@@ -456,11 +478,12 @@ def _block_with_edge_values(rng, rows, n):
     return np.vstack([x, f32])
 
 
-@pytest.mark.parametrize("n", [12, 30, 2048, power._KEY32_MAX_N, power._KEY32_MAX_N + 1])
-@pytest.mark.parametrize("sidedness", list(Sidedness))
-def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
-    rng = np.random.default_rng(n)
-    x = _block_with_edge_values(rng, 60, n)
+def _match_scalar_test(x, alpha, sidedness, monkeypatch):
+    """Check ``_wilcoxon_rejections`` on ``x`` against the scalar test, row by row.
+
+    Returns each row's scalar p-value (None for an all-zero row) and the
+    list that records the rows sent to the scalar path from then on.
+    """
     expected_p = [
         wilcoxon_test(row, sidedness, WilcoxonMode.AUTO).p_value if (row != 0.0).any() else None
         for row in x
@@ -472,7 +495,6 @@ def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
         return wilcoxon_test(row, *args, **kwargs)
 
     monkeypatch.setattr(power, "wilcoxon_test", scalar_test)
-    alpha = 0.3
     rejections, degenerate = power._wilcoxon_rejections(x, alpha, sidedness)
     assert degenerate == expected_p.count(None)
     assert rejections == sum(p is not None and p <= alpha for p in expected_p)
@@ -480,7 +502,18 @@ def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
     # take the scalar path, whatever float32 makes of the others.
     mags = np.sort(np.abs(x), axis=1)
     slow = (mags[:, 0] == 0.0) | (mags[:, 1:] == mags[:, :-1]).any(axis=1)
-    np.testing.assert_array_equal(slow_rows, x[slow & (x != 0.0).any(axis=1)])
+    expected_slow = x[slow & (x != 0.0).any(axis=1)]
+    np.testing.assert_array_equal(np.reshape(slow_rows, (-1, x.shape[1])), expected_slow)
+    return expected_p, slow_rows
+
+
+@pytest.mark.parametrize("n", [12, 30, 2048, power._KEY32_MAX_N, power._KEY32_MAX_N + 1])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = _block_with_edge_values(rng, 60, n)
+    alpha = 0.3
+    expected_p, slow_rows = _match_scalar_test(x, alpha, sidedness, monkeypatch)
     # The two rows that tie only across each other, alone in a block.
     slow_rows.clear()
     pair = x[-5:-3]  # rows 7 and 8 of the float32 rows
@@ -496,14 +529,23 @@ def test_wilcoxon_rejections_match_scalar_test(n, sidedness, monkeypatch):
         assert power._wilcoxon_rejections(row[None], np.nextafter(p, 0.0), sidedness) == (0, 0)
 
 
-@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 1000, 2**16 + 1])
-def test_t_statistic_keeps_the_bits_of_mean_and_std(n, monkeypatch):
-    rng = np.random.default_rng(n)
-    x = rng.normal(0.2, 1.0, (max(4, min(64, 2**17 // n)), n))
-    x[0] = 1.5  # zero variance: degenerate
-    x[1] = 0.1  # constant, but its mean need not be 0.1
-    x[2] = 1e8 + x[2]  # deviations far below the mean
-    x[3] *= 2.0**-1000
+@pytest.mark.parametrize("n", [20, 100, 1000, power._KEY32_MAX_N])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_wilcoxon_rejections_match_scalar_test_when_most_rows_are_coarse(
+    n, sidedness, monkeypatch
+):
+    # Float32 cannot tell 1 + 1e-7 z apart, so most rows of a block are
+    # coarse (a float32 tie) and all of the key widths are taken.
+    params = MixtureParams(0.9, 1.0, 1e-7)
+    rows = power._block_rows(n)
+    x = sample(params, rows * n, replication_rng(17, n, 0)).reshape(rows, n)
+    mags32 = np.sort(np.abs(x).astype(np.float32), axis=1)
+    assert (mags32[:, 1:] == mags32[:, :-1]).any(axis=1).mean() > 0.9
+    _match_scalar_test(x, 0.05, sidedness, monkeypatch)
+
+
+def _t_statistics_seen(x, monkeypatch):
+    """The t statistics ``_t_rejections`` compares with its region, and its degenerate count."""
     seen = []
 
     class Bound:
@@ -519,16 +561,62 @@ def test_t_statistic_keeps_the_bits_of_mean_and_std(n, monkeypatch):
 
     monkeypatch.setattr(power, "_t_critical_region", lambda *args: (Bound(), Bound()))
     _, degenerate = power._t_rejections(x, 0.05, Sidedness.GREATER)
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0].view(np.int64), seen[1].view(np.int64))
+    return seen[0], degenerate
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 1000, 2**16 + 1])
+def test_t_statistic_keeps_the_bits_of_mean_and_std(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.2, 1.0, (max(4, min(64, 2**17 // n)), n))
+    x[0] = 1.5  # zero variance: degenerate
+    x[1] = 0.1  # constant, but its mean need not be 0.1
+    x[2] = 1e8 + x[2]  # deviations far below the mean
+    unscaled = x[3].copy()
+    x[3] *= 2.0**-1000  # squared deviations underflow: the row is taken again, rescaled
+    stat, degenerate = _t_statistics_seen(x, monkeypatch)
+    x[3] = unscaled  # the statistic does not depend on scale
     mean, sd = x.mean(axis=1), x.std(axis=1, ddof=1)
     ok = sd != 0.0
     assert degenerate == int((~ok).sum()) >= 1
-    assert len(seen) == 2
-    np.testing.assert_array_equal(seen[0].view(np.int64), seen[1].view(np.int64))
-    stat = seen[0]
     np.testing.assert_array_equal(
         stat[ok].view(np.int64), (mean[ok] / (sd[ok] / math.sqrt(n))).view(np.int64)
     )
     assert (stat[~ok] == 0.0).all()
+    # The scalar statistic is the same computation on one row.
+    for row, expected in zip(x[ok][:4], stat[ok][:4]):
+        assert t_statistic(row) == expected
+
+
+@pytest.mark.parametrize("k", [530, -530, 600, -600])
+def test_t_rejections_keep_their_bits_at_any_scale(k, monkeypatch):
+    rng = np.random.default_rng(k % 7)
+    x = rng.normal(0.3, 1.0, (300, 20))
+    x[::50] = 1.5  # degenerate at every scale
+    x[1::50, :10] = 2.0**-100  # a row that spans many binades
+    expected, degenerate = _t_statistics_seen(x, monkeypatch)
+    assert degenerate == 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stat, degenerate = _t_statistics_seen(x * 2.0**k, monkeypatch)
+    assert degenerate == 6
+    np.testing.assert_array_equal(stat.view(np.int64), expected.view(np.int64))
+
+
+def test_t_power_does_not_depend_on_scale():
+    cfg = config(nreps=2000, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        unit = estimate_power(TestKind.T, MixtureParams(1.0, 1.0, 1.0), 20, cfg)
+        tiny = estimate_power(TestKind.T, MixtureParams(1.0, 1e-200, 1e-200), 20, cfg)
+        wide = estimate_power(TestKind.T, MixtureParams(0.5, 0.0, 1e200), 20, cfg)
+        narrow = estimate_power(TestKind.T, MixtureParams(0.5, 0.0, 1e100), 20, cfg)
+    # Each pair draws its own streams, so the powers agree within Monte Carlo error.
+    for a, b in ((unit, tiny), (narrow, wide)):
+        assert b.n_degenerate == 0
+        assert abs(a.power - b.power) <= 4.0 * math.hypot(a.mc_se, b.mc_se)
+    assert wide.power > 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Test statistics, exact null machinery, and p-value conventions."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -160,6 +161,26 @@ def test_t_statistic_scale_invariance():
     rng = seeded_rng(43, "t-scale")
     x = rng.normal(0.2, 1.0, 25)
     assert t_statistic(x * math.pi) == pytest.approx(t_statistic(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [530, -530, 600, -600])
+def test_t_test_keeps_its_bits_at_any_scale(k):
+    # t does not depend on scale, and a power of two scales every value exactly.
+    x = np.array([1.0, -0.3, 0.5, 2.0, 0.7])
+    base = t_test(x, Sidedness.GREATER)
+    assert base.statistic == 2.089119177621763
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = t_test(x * 2.0**k, Sidedness.GREATER)
+    assert scaled == base
+
+
+@pytest.mark.parametrize("k", [0, 530, -530, 600, -600, 1022, -1070, -1074])
+def test_constant_sample_is_degenerate_at_every_scale(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateSampleError):
+            t_statistic(np.full(5, 1.5 * 2.0**k))
 
 
 # ---------------------------------------------------------------------------
