@@ -117,6 +117,9 @@ def dominance_grid(
     """Tabulate :func:`are` over an evenly spaced (mu, sigma) lattice."""
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
+    for steps in (steps_mu, steps_sigma):
+        if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
+            raise DomainError(f"lattice step counts must be integers, got {steps!r}")
     if steps_mu < 2 or steps_sigma < 2:
         raise DomainError("each axis needs at least two lattice points")
     if not (mu_lo <= mu_hi and sigma_lo <= sigma_hi):

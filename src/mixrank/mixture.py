@@ -104,13 +104,20 @@ def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarra
     component.  All the uniforms are drawn first, then all the normals, so
     the draw is ``rng.random(n)`` followed by ``rng.standard_normal(n)``, and
     a ``(rows, m)`` block of samples is one draw of ``rows * m`` values,
-    reshaped.  Output is bit-reproducible given the generator state.
+    reshaped.  Output is bit-reproducible given the generator state.  A
+    contaminant so wide that a draw overflows the double range raises
+    :class:`DomainError`.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
     hit = np.flatnonzero(rng.random(n) < params.theta)
     x = rng.standard_normal(n)
-    x[hit] = params.mu + params.sigma * x[hit]
+    with np.errstate(over="raise"):
+        try:
+            x[hit] = params.mu + params.sigma * x[hit]
+        except FloatingPointError:
+            contaminant = f"N({params.mu}, {params.sigma}^2)"
+            raise DomainError(f"contaminant {contaminant} draws past the double range") from None
     return x
 
 

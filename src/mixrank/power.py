@@ -21,15 +21,15 @@ large its lattice.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 A level-alpha test is a fixed critical region of its statistic, so the
-evaluators reject a row by comparing its statistic with the region's bounds,
-not by computing its p-value.  Both tests share one rule: a row rejects iff
-its statistic is <= lo or >= hi, with NaN on a side that never rejects.  A
-cached search on the per-row rule's own p-value finds the upper bound of each
-(n, alpha, sidedness), starting at scipy's Student-t or normal quantile, so a
-cache miss costs one vectorised p-value call in the usual case.  The lower
-bound is its mirror about the null centre: -c for t, n(n+1)/2 - k for W+.
-The rules reject the same rows wherever that p-value is monotone in floating
-point; tests/test_power.py checks it next to every critical value.
+evaluators reject a row by comparing its statistic with a critical value,
+not by computing its p-value.  Both tests share the scalar p-values' rule: a
+row rejects iff its statistic, oriented toward the alternative by its mirror
+about the null centre (-t for t, n(n+1)/2 - W+ for W+), is >= c.  A cached
+search on the per-row rule's own p-value finds c for each (n, alpha,
+two-sidedness), starting at scipy's Student-t or normal quantile, so a cache
+miss costs one vectorised p-value call in the usual case.  The rules reject
+the same rows wherever that p-value is monotone in floating point;
+tests/test_power.py checks it next to every critical value.
 The signed-rank evaluator ranks rows on a ladder of key widths: the float32
 rounding of each value for rows of up to ``_KEY32_MAX_N`` values, the float64
 bits for rows still coarse and longer rows, and the scalar test for rows with
@@ -59,6 +59,7 @@ from .rank_tests import (
     AUTO_EXACT_MAX_N,
     Sidedness,
     WilcoxonMode,
+    _oriented,
     _t_p_value,
     _t_statistics,
     _wilcoxon_p_exact,
@@ -181,7 +182,7 @@ class EmpiricalArePoint:
 # vectorized per-block test evaluation
 # ---------------------------------------------------------------------------
 
-_CRITICAL_CACHE = 1024  # (n, alpha, sidedness) keys per test; a search probes ~20 n
+_CRITICAL_CACHE = 1024  # (n, alpha, two-sidedness) keys per test; a search probes ~20 n
 _WINDOW = 16  # points a critical-value search tests per round, but for its gallop
 _INF_ORDINAL = 0x7FF0_0000_0000_0000  # ordinal of +inf; -inf is its negation
 
@@ -231,34 +232,18 @@ def _first(rejects, lo: int, hi: int, guess: int) -> int:
         first_round = False
 
 
-def _region(lower, upper, sidedness: Sidedness) -> tuple:
-    """(lower, upper), with NaN (which compares False) on the side ``sidedness`` does not test."""
-    if sidedness is Sidedness.GREATER:
-        return math.nan, upper
-    if sidedness is Sidedness.LESS:
-        return lower, math.nan
-    return lower, upper
-
-
-def _in_region(stat: np.ndarray, region: tuple) -> np.ndarray:
-    """Which statistics fall in the critical region (lo, hi): stat <= lo or stat >= hi."""
-    return (stat <= region[0]) | (stat >= region[1])
-
-
 @functools.lru_cache(maxsize=_CRITICAL_CACHE)
-def _t_critical_region(n: int, alpha: float, sidedness: Sidedness) -> tuple[float, float]:
-    """The critical region of the t statistic of n values at level alpha.
+def _t_critical_value(n: int, alpha: float, two_sided: bool) -> float:
+    """The critical value c of the oriented t statistic of n values at level alpha.
 
-    Its upper bound c is the smallest double whose p-value is <= alpha:
-    GREATER's p over every double, or TWO_SIDED's over |t| >= 0.  The t
-    p-values mirror about 0, so the lower bound is -c, which is exact.  The
-    search starts at scipy's Student-t quantile, within a few hundred doubles
-    of c except near c = 0 (alpha near 0.5 for GREATER, near 1 for
-    TWO_SIDED).  Past |t| ~ 1.3e154, t*t overflows and the p-value reads 0,
-    as it would for a row; only the search probes there, so it runs with
-    the overflow warning off.
+    c is the smallest double whose p-value is <= alpha: GREATER's p over
+    every double, or TWO_SIDED's over |t| >= 0.  The search starts at
+    scipy's Student-t quantile, within a few hundred doubles of c except
+    near c = 0 (alpha near 0.5 for GREATER, near 1 for TWO_SIDED).  Past
+    |t| ~ 1.3e154, t*t overflows and the p-value reads 0, as it would for a
+    row; only the search probes there, so it runs with the overflow warning
+    off.
     """
-    two_sided = sidedness is Sidedness.TWO_SIDED
     side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
     guess = -stdtrit(n - 1, alpha / 2 if two_sided else alpha)
     with np.errstate(over="ignore"):
@@ -268,54 +253,50 @@ def _t_critical_region(n: int, alpha: float, sidedness: Sidedness) -> tuple[floa
             _INF_ORDINAL,
             _ordinal(guess),
         )
-    c = float(_doubles(np.array(ordinal)))
-    return _region(-c, c, sidedness)
+    return float(_doubles(np.array(ordinal)))
 
 
 @functools.lru_cache(maxsize=_CRITICAL_CACHE)
-def _w_critical_region(n: int, alpha: float, sidedness: Sidedness) -> tuple[float, float]:
-    """The critical region of a tie-free W+ of n nonzero values at level alpha.
+def _w_critical_value(n: int, alpha: float, two_sided: bool) -> int:
+    """The critical value k of the oriented W+ of n tie-free nonzero values at level alpha.
 
     p is the exact p-value up to ``AUTO_EXACT_MAX_N`` and the normal
-    approximation above, as in the scalar test.  The upper bound k is the
-    smallest k with p(k) <= alpha: GREATER's p over the support, or
-    TWO_SIDED's, 1 at the centre and monotone on each half, over the upper
-    half; if none rejects, k is one past the support.  Both p-values mirror
-    exactly about the centre n(n+1)/4 (the exact sf is the mirrored cdf, and
-    the normal arguments are exact multiples of 1/4), so the lower bound is
-    n(n+1)/2 - k.  The search starts at the normal approximation's quantile.
+    approximation above, as in the scalar test.  k is the smallest k with
+    p(k) <= alpha: GREATER's p over the support, or TWO_SIDED's, 1 at the
+    centre and monotone on each half, over the upper half; if none rejects,
+    k is one past the support.  The search starts at the normal
+    approximation's quantile.
     """
     top = n * (n + 1) // 2
     p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
-    two_sided = sidedness is Sidedness.TWO_SIDED
     side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
     sd = math.sqrt(top * (2 * n + 1) / 12.0)
     # At alpha = 1 the quantile is infinite, so the guess is clamped to the support.
     z = ndtri(alpha / 2 if two_sided else alpha)
     guess = math.ceil(min(max(top / 2.0 + 0.5 - sd * z, 0.0), top))
-    k = _first(
+    return _first(
         lambda k: p_value(k, n, side) <= alpha, (top + 1) // 2 if two_sided else 0, top + 1, guess
     )
-    return _region(top - k, k, sidedness)
 
 
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the t test over the rows of ``x``.
 
-    A row rejects when its t statistic falls in the cached critical region
-    of the Student-t p-value: the rule ``p <= alpha`` wherever that p-value
-    is monotone.  Zero-variance rows are degenerate and never reject.
+    A row rejects when its oriented t statistic reaches the cached critical
+    value of the Student-t p-value: the rule ``p <= alpha`` wherever that
+    p-value is monotone.  Zero-variance rows are degenerate and never reject.
     """
     stat, ok = _t_statistics(x)
-    reject = ok & _in_region(stat, _t_critical_region(x.shape[1], alpha, sidedness))
+    c = _t_critical_value(x.shape[1], alpha, sidedness is Sidedness.TWO_SIDED)
+    reject = ok & (_oriented(stat, np.negative, sidedness) >= c)
     return int(np.count_nonzero(reject)), int(ok.size - np.count_nonzero(ok))
 
 
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the signed-rank test over the rows of ``x``.
 
-    A tie-free row without zeros rejects when its integer W+ falls in the
-    cached critical region, searched over the support: the rule
+    A tie-free row without zeros rejects when its oriented integer W+
+    reaches the cached critical value, searched over the support: the rule
     ``p <= alpha``, since W+ takes only support values.
     Rows with zeros or tied magnitudes take the scalar test, and all-zero
     rows are degenerate.
@@ -371,9 +352,12 @@ def _rank_rejections(
     np.bitwise_or(key, x > 0.0, out=key)
     key.sort(axis=1)
     coarse = _coarse_rows(key)
-    # W+ <= n(n+1)/2 fits uint32 up to n = 92681, far above _KEY32_MAX_N.
+    # W+ <= n(n+1)/2 fits uint32 up to n = 92681, far above _KEY32_MAX_N, and
+    # its mirror n(n+1)/2 - W+ cannot fall below 0.
     w = np.bitwise_and(key, 1, out=key) @ np.arange(1, n + 1, dtype=key.dtype)
-    reject = ~coarse & _in_region(w, _w_critical_region(n, alpha, sidedness))
+    top = n * (n + 1) // 2
+    k = _w_critical_value(n, alpha, sidedness is Sidedness.TWO_SIDED)
+    reject = ~coarse & (_oriented(w, lambda w: top - w, sidedness) >= k)
     return int(np.count_nonzero(reject)), coarse
 
 

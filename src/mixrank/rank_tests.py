@@ -163,13 +163,29 @@ def _student_t_sf(t, df):
     return np.where(t_arr >= 0.0, tail, 1.0 - tail)
 
 
+def _oriented(stat, mirror, sidedness: Sidedness):
+    """``stat`` for GREATER, its ``mirror`` for LESS, the larger of the two for TWO_SIDED.
+
+    Both null laws are symmetric about a known centre, ``mirror`` reflects
+    about it (-t for t, n(n+1)/2 - W+ for W+), and every sidedness rejects
+    on large values of the oriented statistic.
+    """
+    if sidedness is Sidedness.GREATER:
+        return stat
+    if sidedness is Sidedness.LESS:
+        return mirror(stat)
+    return np.maximum(stat, mirror(stat))
+
+
+def _sided_p(upper, stat, mirror, sidedness: Sidedness):
+    """The ``upper`` tail at the oriented statistic; two-sided doubles it, capped at 1."""
+    p = upper(_oriented(stat, mirror, sidedness))
+    return np.minimum(1.0, 2.0 * p) if sidedness is Sidedness.TWO_SIDED else p
+
+
 def _t_p_value(stat, df, sidedness: Sidedness):
     """Student-t p-value for scalar or array statistics."""
-    if sidedness is Sidedness.GREATER:
-        return _student_t_sf(stat, df)
-    if sidedness is Sidedness.LESS:
-        return _student_t_sf(np.negative(stat), df)  # by symmetry; no cancellation in the tail
-    return 2.0 * _student_t_sf(np.abs(stat), df)
+    return _sided_p(lambda t: _student_t_sf(t, df), stat, np.negative, sidedness)
 
 
 def t_test(sample, sidedness: Sidedness = Sidedness.TWO_SIDED) -> TestOutcome:
@@ -365,38 +381,27 @@ def exact_null_pmf(n: int) -> NullPmf:
 # Wilcoxon p-values
 # ---------------------------------------------------------------------------
 
-def _signed_rank_p(sidedness: Sidedness, p_greater, p_less):
-    """The p-value of ``sidedness`` from callables giving P(W+ >= w) and P(W+ <= w).
-
-    Only the tails the sidedness needs are computed; two-sided doubles the smaller, capped at 1.
-    """
-    if sidedness is Sidedness.GREATER:
-        return p_greater()
-    if sidedness is Sidedness.LESS:
-        return p_less()
-    return np.minimum(1.0, 2.0 * np.minimum(p_greater(), p_less()))
-
-
 def _wilcoxon_p_exact(w, n: int, sidedness: Sidedness):
     """Exact p-value from the null pmf; ``w`` may be an integer array."""
     pmf = exact_null_pmf(n)
-    k = np.asarray(w, dtype=np.int64)
-    return _signed_rank_p(sidedness, lambda: pmf.sf(k), lambda: pmf.cdf(k))
+    top = pmf.support_max
+    return _sided_p(pmf.sf, np.asarray(w, dtype=np.int64), lambda k: top - k, sidedness)
 
 
 def _wilcoxon_p_normal(w, n: int, sidedness: Sidedness, tie_term: float = 0.0):
     """Normal approximation with +-0.5 continuity correction.
 
     ``tie_term`` (see :func:`_signed_rank`) is subtracted from the untied null
-    variance n(n+1)(2n+1)/24.
+    variance n(n+1)(2n+1)/24.  W+ and the centre are multiples of 1/4, so
+    the mirror n(n+1)/2 - W+ and the arguments of ``ndtr`` are exact.
     """
     mean = n * (n + 1) / 4.0
     sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
-    w = np.asarray(w, dtype=float)
-    return _signed_rank_p(
+    return _sided_p(
+        lambda w: ndtr(np.negative((w - 0.5 - mean) / sd)),
+        np.asarray(w, dtype=float),
+        lambda w: 2.0 * mean - w,
         sidedness,
-        lambda: ndtr(np.negative((w - 0.5 - mean) / sd)),
-        lambda: ndtr((w + 0.5 - mean) / sd),
     )
 
 

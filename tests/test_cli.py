@@ -283,6 +283,27 @@ def test_curve_with_a_huge_contaminant_runs_without_warnings():
     assert row.startswith("0.5,20,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--theta", "0.5", "--n", "20", "--nreps", "100"],
+        ["nmin", "--test", "t", "--theta", "0.5", "--power", "0.8", "--nreps", "100"],
+    ],
+    ids=["curve", "nmin-t"],
+)
+def test_a_contaminant_whose_draws_overflow_is_a_usage_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mixrank", *argv,
+         "--mu", "0", "--sigma", "1e308"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "contaminant" in line
+
+
 def test_power_alias(capsys):
     code, out, _ = run_cli(
         capsys, "power", "--mu", "1", "--sigma", "1",
@@ -645,6 +666,54 @@ _NMIN_ARGV = ["nmin", "--mu", "1", "--sigma", "0.5", "--theta", "0.3", "--power"
 def test_payload_digests_beyond_greater(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_TEST_DATA = {
+    "tied": [1.5, -2.0, 0.0, 3.25, 0.5, 1.5, -0.5, 2.0],  # exact mode refuses it
+    "untied": [0.8, -1.3, 2.1, 0.4, -0.25, 1.7, 3.3, -0.9, 0.6, 2.6, 1.1, -0.05],
+    "centred": [1.0, -2.0, -3.0, 4.0],  # t = 0 and W+ = n(n+1)/4: two-sided p is capped at 1
+}
+_TEST_DIGESTS = {
+    ("tied", "normal"): ("d6e5576e12c3e34c2ec100c77de8c18f854d5cd1f14d444bc90be0a5fcb3789d",
+                         "9c5f340079a4415b8ee401329a56cbc317d19a9d45b32e34335f7ed73bca660a",
+                         "108386ad841d7b842a417fd734f852e85a993a68cbb809fb778e95ba51a403fe"),
+    ("untied", "exact"): ("c9684b8adfe767b513575a704d0876e0bb76fba2ca6ac8aa5710804ba736f8df",
+                          "81fd7520d9213b2e8f292cd5cb4956b05f23c57d9c8658b02ee2314c9f6b976a",
+                          "26b242edc07582abe7792ca1d28994fa17bf36c05d335fd0079146ced6c8edb3"),
+    ("untied", "normal"): ("e90aa9b97c905eab87da36ebeeb50b30b1cbfdf1e4aca7670b62e66a31c5c278",
+                           "b6e9033cf058272b6b8720051bb8577bf77c75a83a42d31b7374346839f3e7ee",
+                           "c923e4931d9fca6c45c97b66cd4419c8a2de1d7317a6607c1022414d98bb25e0"),
+    ("centred", "exact"): ("4d8a3f49193c525a482fb3901acfc2fc81257b46b711d1995145d0806bf2a9f4",
+                           "5cfdc9a70b711535e43671ea1951168c7a1954658ea357e94417b6554eabce44",
+                           "8e66d9563efbfc4c3eb7e51237d9fb454fb6bc9c9ecc926fc9719a4abbccd612"),
+    ("centred", "normal"): ("17c319e25c9e9cd17aa20a0120944632ea9ee9abd1a0ea7fc82d76d4edfe32de",
+                            "af19337e4e95c4a0e7d1ccbc2d7116801e4aa173a1338088bf671075968ad3ab",
+                            "619baab535ece4b7fda7b3b715a824a436f00045063ded6e82d7a05b94ae3a62"),
+}
+# Auto mode takes the normal approximation on tied data and the exact law on
+# untied data of n <= 25.
+_TEST_DIGESTS.update(
+    {(data, "auto"): _TEST_DIGESTS[data, mode]
+     for data, mode in (("tied", "normal"), ("untied", "exact"), ("centred", "exact"))}
+)
+
+
+# Recorded from mixrank 0.2.0 on scipy 1.17.1: the p-value bits of both
+# scalar tests at every sidedness, which a change to the library and the CLI
+# alike would move.  The t p-values rest on scipy's betainc.
+@pytest.mark.parametrize("sided", ["greater", "less", "two"])
+@pytest.mark.parametrize(
+    "data, mode", sorted(_TEST_DIGESTS), ids=["-".join(key) for key in sorted(_TEST_DIGESTS)]
+)
+def test_payload_digests_test(tmp_path, capsys, data, mode, sided):
+    path = tmp_path / "data.txt"
+    path.write_text("".join(f"{v}\n" for v in _TEST_DATA[data]))
+    code, out, _ = run_cli(
+        capsys, "test", "--data", str(path), "--test", "both", "--sided", sided, "--mode", mode
+    )
+    assert code == 0
+    digest = _TEST_DIGESTS[data, mode][["greater", "less", "two"].index(sided)]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

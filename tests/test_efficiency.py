@@ -167,6 +167,12 @@ def test_dominance_grid_validation():
     ]:
         with pytest.raises(DomainError, match="finite"):
             dominance_grid(mu_range, sigma_range, 2, 2)
+    # Step counts are integers, as the exact null pmf's n is.
+    for steps in (2.5, 3.0, np.float64(3.0), True, "3"):
+        for steps_mu, steps_sigma in ((steps, 2), (2, steps)):
+            with pytest.raises(DomainError, match="integer"):
+                dominance_grid((0.0, 1.0), (0.5, 1.0), steps_mu, steps_sigma)
+    assert dominance_grid((0.0, 1.0), (0.5, 1.0), np.int64(3), 2).values.shape == (3, 2)
 
 
 @pytest.mark.parametrize(

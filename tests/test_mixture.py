@@ -1,6 +1,7 @@
 """Mixture model: density, CDF, sampling, moments, and mean functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ def test_sample_determinism_and_validation():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(DomainError):
         sample(p, 0, seeded_rng(7, "det"))
+
+
+@pytest.mark.parametrize(
+    "params", [MixtureParams(0.5, 0.0, 1e308), MixtureParams(1.0, 1.7e308, 1e307)]
+)
+def test_sample_refuses_a_contaminant_whose_draws_overflow(params):
+    # sigma * z overflows in the first, mu + sigma * z in the second.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="contaminant"):
+            sample(params, 1000, seeded_rng(7, "wide"))
+        # Just inside the double range, the draws stay finite.
+        narrower = MixtureParams(params.theta, params.mu / 10.0, params.sigma / 10.0)
+        assert np.isfinite(sample(narrower, 1000, seeded_rng(7, "wide"))).all()
 
 
 def test_sample_block_shape_and_draw_order():

@@ -27,6 +27,7 @@ from mixrank.rank_tests import (
     AUTO_EXACT_MAX_N,
     Sidedness,
     WilcoxonMode,
+    _oriented,
     _t_p_value,
     _wilcoxon_p_exact,
     _wilcoxon_p_normal,
@@ -545,24 +546,21 @@ def test_wilcoxon_rejections_match_scalar_test_when_most_rows_are_coarse(
 
 
 def _t_statistics_seen(x, monkeypatch):
-    """The t statistics ``_t_rejections`` compares with its region, and its degenerate count."""
+    """The t statistics ``_t_rejections`` compares with c, and its degenerate count."""
     seen = []
 
     class Bound:
         # ndarray comparisons defer to a bound that opts out of ufuncs, so
-        # `stat <= lo` and `stat >= hi` hand it the statistics.
+        # `stat >= c` hands it the statistics.
         __array_ufunc__ = None
 
-        def __ge__(self, stat):
+        def __le__(self, stat):
             seen.append(stat.copy())
             return np.zeros(stat.shape, dtype=bool)
 
-        __le__ = __ge__
-
-    monkeypatch.setattr(power, "_t_critical_region", lambda *args: (Bound(), Bound()))
+    monkeypatch.setattr(power, "_t_critical_value", lambda *args: Bound())
     _, degenerate = power._t_rejections(x, 0.05, Sidedness.GREATER)
-    assert len(seen) == 2
-    np.testing.assert_array_equal(seen[0].view(np.int64), seen[1].view(np.int64))
+    assert len(seen) == 1
     return seen[0], degenerate
 
 
@@ -619,6 +617,17 @@ def test_t_power_does_not_depend_on_scale():
     assert wide.power > 0.0
 
 
+def test_power_refuses_a_contaminant_whose_draws_overflow():
+    # Infinite draws once gave a NaN t statistic, which neither rejected nor
+    # counted as degenerate, so the power read low without a sign.
+    cfg = config(nreps=2000, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in TestKind:
+            with pytest.raises(DomainError, match="contaminant"):
+                estimate_power(kind, MixtureParams(0.5, 0.0, 1e308), 20, cfg)
+
+
 @pytest.mark.parametrize(
     "lo, hi", [(0, 1), (0, 2**20), (-power._INF_ORDINAL, power._INF_ORDINAL)]
 )
@@ -658,36 +667,35 @@ def _doubles_around(c, k):
 @pytest.mark.parametrize("n", [2, 3, 5, 20, 25, 26, 100, 1000])
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
+    two_sided = sidedness is Sidedness.TWO_SIDED
+    top = n * (n + 1) // 2
     for alpha in (1e-12, 0.01, 0.05, 0.5, 0.9):
         # The search itself, uncached: its probes reach |t| where t*t overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            t_region = power._t_critical_region.__wrapped__(n, alpha, sidedness)
-            w_region = power._w_critical_region.__wrapped__(n, alpha, sidedness)
-        assert t_region == power._t_critical_region(n, alpha, sidedness)
-        assert w_region == power._w_critical_region(n, alpha, sidedness)
-        # The side that sidedness does not test is NaN, and only that side.
-        never = {Sidedness.GREATER: [True, False], Sidedness.LESS: [False, True]}
-        for region in (t_region, w_region):
-            assert [math.isnan(b) for b in region] == never.get(sidedness, [False, False])
+            c = power._t_critical_value.__wrapped__(n, alpha, two_sided)
+            k = power._w_critical_value.__wrapped__(n, alpha, two_sided)
+        assert c == power._t_critical_value(n, alpha, two_sided)
+        assert k == power._w_critical_value(n, alpha, two_sided)
 
-        c = max(b for b in t_region if not math.isnan(b))
         near = _doubles_around(c, 64)
         stat = np.array([*near, *np.negative(near), 0.0, -0.0, np.inf, -np.inf, np.nan])
         # W+ takes only the values of its support, so all of them are checked:
-        # a superset of k - 2 .. k + 2 around each critical value.  The
-        # evaluators hold W+ unsigned, on 32 or 64 bits.
-        w = np.arange(n * (n + 1) // 2 + 1)
+        # a superset of k - 2 .. k + 2 and of its mirror.  The evaluators hold
+        # W+ unsigned, on 32 or 64 bits.
+        w = np.arange(top + 1)
         p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
         with warnings.catch_warnings():
-            # NaN and out-of-range bounds compare False, without a warning.
+            # NaN statistics compare False, without a warning.
             warnings.simplefilter("error", RuntimeWarning)
             np.testing.assert_array_equal(
-                power._in_region(stat, t_region), _t_p_value(stat, n - 1, sidedness) <= alpha
+                _oriented(stat, np.negative, sidedness) >= c,
+                _t_p_value(stat, n - 1, sidedness) <= alpha,
             )
             for dtype in (np.uint32, np.uint64):
                 np.testing.assert_array_equal(
-                    power._in_region(w.astype(dtype), w_region), p_value(w, n, sidedness) <= alpha
+                    _oriented(w.astype(dtype), lambda w: top - w, sidedness) >= k,
+                    p_value(w, n, sidedness) <= alpha,
                 )
 
 
@@ -702,7 +710,7 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
     p = _t_p_value(mean[ok] / (sd[ok] / math.sqrt(n)), n - 1, sidedness)
     expected_t = (int((p <= alpha).sum()), int((~ok).sum()))
     expected_w = power._wilcoxon_rejections(x, alpha, sidedness)  # fills the W cache
-    power._t_critical_region(n, alpha, sidedness)
+    power._t_critical_value(n, alpha, sidedness is Sidedness.TWO_SIDED)
 
     def refuse(*args):
         raise AssertionError("no p-value per row")
@@ -727,13 +735,14 @@ def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
             return p_value(*args)
 
         monkeypatch.setattr(power, name, counted)
+    two_sided = sidedness is Sidedness.TWO_SIDED
     for n in [*range(2, 61), 100, 1000, 5000]:
         for alpha in (0.01, 0.05):
             calls.clear()
-            power._t_critical_region.__wrapped__(n, alpha, sidedness)
+            power._t_critical_value.__wrapped__(n, alpha, two_sided)
             assert len(calls) <= 10, (n, alpha)
             calls.clear()
-            power._w_critical_region.__wrapped__(n, alpha, sidedness)
+            power._w_critical_value.__wrapped__(n, alpha, two_sided)
             assert len(calls) <= 3, (n, alpha)
 
 
