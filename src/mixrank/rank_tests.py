@@ -57,12 +57,15 @@ class Sample:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float, copy=True)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise DomainError("sample entries must be real")
+        arr = np.array(arr, dtype=float, copy=True)
         if arr.ndim != 1:
             raise DomainError("sample must be one-dimensional")
         if arr.size < 1:
             raise DomainError("sample must contain at least one observation")
-        if not np.all(np.isfinite(arr)):
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise DomainError("sample entries must be finite")
         arr.flags.writeable = False
         self._values = arr
@@ -105,36 +108,43 @@ class TestOutcome:
 _T_SQUARES_MIN = 2.0**-960
 
 
-def _t_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The t statistics of the rows of ``x`` (0.0 at zero variance), and which rows vary.
+def _t_statistics(x: np.ndarray):
+    """The t statistics along the last axis of ``x`` (0.0 at zero variance), and which vary.
 
-    t does not depend on scale, so a row whose squared deviations overflow or
-    sum below ``_T_SQUARES_MIN`` is taken again scaled by 2**-e, where 2**e
-    bounds its largest magnitude; powers of two scale exactly.  Other rows
-    keep the bits of ``x.mean()`` and ``x.std(ddof=1)``.
+    ``x`` is a sample, which gives numpy scalars, or a block of rows.  t does
+    not depend on scale, so a row whose squared deviations overflow or sum
+    below ``_T_SQUARES_MIN`` is taken again scaled by 2**-e, where 2**e
+    bounds its largest magnitude; powers of two scale exactly.  A sample out
+    of that range is taken as a one-row block.  Other rows keep the bits of
+    ``x.mean()`` and ``x.std(ddof=1)``.
     """
-    n = x.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    n = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean, squares = _mean_and_squares(x)
-    ok = (squares >= _T_SQUARES_MIN) & (squares < np.inf)
-    if not ok.all():
-        rows = x[~ok]
-        exponent = np.frexp(np.abs(rows).max(axis=1))[1]
-        mean[~ok], squares[~ok] = _mean_and_squares(np.ldexp(rows, -exponent[:, None]))
-        ok = squares != 0.0
-    sd = np.sqrt(squares / (n - 1))
-    stat = np.divide(mean, sd / math.sqrt(n), out=np.zeros_like(mean), where=ok)
+        ok = (squares >= _T_SQUARES_MIN) & (squares < np.inf)
+        if x.ndim == 1:  # numpy scalars, whose .all() would go through an array
+            if not ok:
+                stat, ok = _t_statistics(x[None])
+                return stat[0], ok[0]
+        elif not ok.all():
+            rows = x[~ok]
+            exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+            mean[~ok], squares[~ok] = _mean_and_squares(np.ldexp(rows, -exponent[:, None]))
+            ok = squares != 0.0
+        stat = mean / (np.sqrt(squares / (n - 1)) / math.sqrt(n))
+    if x.ndim > 1:
+        stat[~ok] = 0.0
     return stat, ok
 
 
-def _mean_and_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means of ``x`` and the sums of squared deviations from them."""
-    # The operations of x.mean(axis=1) and x.std(axis=1, ddof=1), so the
-    # same bits, with the row sums taken once instead of twice.
-    mean = np.add.reduce(x, axis=1) / x.shape[1]
-    dev = x - mean[:, None]
+def _mean_and_squares(x: np.ndarray):
+    """Means along the last axis of ``x`` and the sums of squared deviations from them."""
+    # The operations of x.mean(axis=-1) and x.std(axis=-1, ddof=1), so the
+    # same bits, with the sums taken once instead of twice.
+    mean = np.add.reduce(x, axis=-1) / x.shape[-1]
+    dev = x - mean[..., None]
     np.square(dev, out=dev)
-    return mean, np.add.reduce(dev, axis=1)
+    return mean, np.add.reduce(dev, axis=-1)
 
 
 def t_statistic(sample) -> float:
@@ -142,10 +152,10 @@ def t_statistic(sample) -> float:
     x = as_sample(sample).values
     if x.size < 2:
         raise InsufficientDataError("t statistic needs at least two observations")
-    stat, ok = _t_statistics(x[None])
-    if not ok[0]:
+    stat, ok = _t_statistics(x)
+    if not ok:
         raise DegenerateSampleError("sample has zero variance")
-    return float(stat[0])
+    return float(stat)
 
 
 def _student_t_sf(t, df):
@@ -155,12 +165,13 @@ def _student_t_sf(t, df):
     for t >= 0, where I is the regularized incomplete beta function; the
     lower half follows by symmetry.  Absolute error is bounded by the
     incomplete-beta routine, comfortably below 1e-10.  Takes and returns
-    arrays (0-d for a scalar ``t``).
+    arrays, or a scalar for a scalar ``t``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    x = df / (df + t_arr * t_arr)
-    tail = 0.5 * betainc(0.5 * df, 0.5, x)
-    return np.where(t_arr >= 0.0, tail, 1.0 - tail)
+    t = np.asarray(t, dtype=float)
+    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
+    if t.ndim == 0:
+        return tail if t >= 0.0 else 1.0 - tail
+    return np.where(t >= 0.0, tail, 1.0 - tail)
 
 
 def _oriented(stat, mirror, sidedness: Sidedness):
@@ -217,20 +228,30 @@ def _signed_rank(x: np.ndarray) -> tuple[float, int, float]:
     Exact zeros are dropped and tied magnitudes receive midranks.  The tie
     term is the sum of (t^3 - t) / 48 over groups of t tied magnitudes
     (0.0 without ties): what ties take off the null variance of W+
-    (Lehmann 1975).
+    (Lehmann 1975).  Both sums are exact integers before the last division.
     """
-    nz = x[x != 0.0]
-    if nz.size == 0:
+    nz = x[x.nonzero()]
+    n = nz.size
+    if n == 0:
         raise DegenerateSampleError("all observations are exactly zero")
     magnitude = np.abs(nz)
     order = np.argsort(magnitude)
     magnitude = magnitude[order]
-    starts = np.flatnonzero(np.concatenate(([True], magnitude[1:] != magnitude[:-1])))
-    t = np.diff(np.append(starts, nz.size))
-    # A group at sorted positions s..s+t-1 holds ranks s+1..s+t, mean s+(t+1)/2.
-    midranks = np.repeat(starts + (t + 1) / 2.0, t)
-    w_plus = float(midranks[nz[order] > 0.0].sum())
-    return w_plus, int(nz.size), float((t**3 - t).sum()) / 48.0
+    # The sorted positions where a group of tied magnitudes starts, then n.
+    new_group = np.empty(n + 1, dtype=bool)
+    new_group[0] = new_group[n] = True
+    np.not_equal(magnitude[1:], magnitude[:-1], out=new_group[1:n])
+    edges = new_group.nonzero()[0]
+    starts, ends = edges[:-1], edges[1:]
+    # A group at sorted positions s..e-1 holds ranks s+1..e, midrank (s+e+1)/2.
+    positives = np.add.reduceat(nz[order] > 0.0, starts)
+    w_plus = float(np.dot(starts + ends + 1, positives)) / 2.0
+    # The sum of t^3 - t is below n^3, which int64 holds below n = 2^21; above
+    # it the sizes of the tied groups are summed as Python ints.
+    t = ends - starts
+    if n >= 2**21:
+        t = t[t > 1].astype(object)
+    return w_plus, n, float(np.dot(t, t * t - 1)) / 48.0
 
 
 def wilcoxon_statistic(sample) -> tuple[float, int]:

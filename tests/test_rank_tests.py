@@ -1,5 +1,6 @@
 """Test statistics, exact null machinery, and p-value conventions."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -58,6 +59,13 @@ def test_sample_validation_and_immutability():
         Sample([1.0, math.nan])
     with pytest.raises(DomainError):
         Sample([[1.0, 2.0]])
+    # A cast to float would drop the imaginary parts, so complex input is refused,
+    # even where every imaginary part is zero.
+    for values in ([1 + 5j, 2.0, 3.5], np.array([1 + 5j, 2.0, 3.5]), np.array([1.0, 2.0], dtype=complex)):
+        with pytest.raises(DomainError, match="real"):
+            Sample(values)
+        with pytest.raises(DomainError, match="real"):
+            t_test(values)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +439,20 @@ def test_signed_rank_matches_rankdata(tenths):
     assert tie_term == float((t**3 - t).sum()) / 48.0
 
 
+def test_tie_term_is_exact_past_int64():
+    # One tie group of n values: the tie term is (n^3 - n) / 48, past 2^63 here.
+    n = 2_200_000
+    x = -np.ones(n)
+    x[:1_101_000] = 1.0
+    _, n_eff, tie_term = _signed_rank(x)
+    assert n_eff == n
+    assert tie_term == float(n**3 - n) / 48.0
+    expected = scipy.stats.wilcoxon(x, method="asymptotic", correction=True).pvalue
+    p = wilcoxon_test(x, Sidedness.TWO_SIDED).p_value
+    assert p == pytest.approx(float(expected), rel=1e-9)
+    assert p == pytest.approx(0.1775, abs=1e-4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     hundredths=st.lists(st.integers(-500, 500), min_size=2, max_size=60).filter(
@@ -491,3 +513,62 @@ def test_p_value_invariants(tenths, log2_scale):
             assert scaled == pytest.approx(p[Sidedness.GREATER], rel=1e-12)
     t_tails = t_test(x, Sidedness.GREATER).p_value + t_test(x, Sidedness.LESS).p_value
     assert t_tails == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# recorded bits of the scalar tests
+# ---------------------------------------------------------------------------
+
+def _sweep_samples():
+    """Seeded samples of every size 1..300 in the shapes the scalar tests treat apart.
+
+    Per size: continuous, rounded to 0.1 (tied magnitudes and zeros), a
+    third zeroed, and constant; two of the first three scaled by 2^+-600 or
+    2^+-1000, where t's squares overflow or underflow; all zeros at a few
+    sizes.
+    """
+    rng = np.random.default_rng(1311_5354)
+    scales = (2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000)
+    for n in range(1, 301):
+        x = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0), n)
+        rounded = np.round(x, 1)
+        zeroed = np.where(rng.random(n) < 1 / 3, 0.0, x)
+        yield from (x, rounded, zeroed, np.full(n, rng.uniform(-2.0, 2.0)))
+        yield (x, rounded, zeroed)[n % 3] * scales[n % 4]
+        yield (rounded, zeroed, x)[n % 3] * scales[(n + 1) % 4]
+        if n % 50 == 1:
+            yield np.zeros(n)
+
+
+def _outcome_record(call):
+    """The bits of one scalar test call: its outcome's fields, or its exception."""
+    try:
+        out = call()
+    except Exception as exc:
+        return f"{type(exc).__name__}:{exc}"
+    return (
+        f"{out.statistic.hex()}:{type(out.statistic).__name__}:{out.p_value.hex()}:"
+        f"{type(out.p_value).__name__}:{out.n_effective}:{out.sidedness.value}:{out.method.value}"
+    )
+
+
+# Recorded when the scalar statistics were reduced along a one-row block.  The
+# t and normal p-values rest on scipy's betainc / ndtr bits.
+_SCALAR_SWEEP_DIGEST = "af17a49646f8f9e6acb489b427e1c35e6a8565c69e291fa9b64f73188919b009"
+
+
+def test_scalar_tests_keep_their_bits():
+    digest = hashlib.sha256()
+    calls = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in _sweep_samples():
+            for side in Sidedness:
+                records = [_outcome_record(lambda: t_test(x, side))]
+                records += [
+                    _outcome_record(lambda: wilcoxon_test(x, side, mode)) for mode in WilcoxonMode
+                ]
+                digest.update("\n".join(records).encode("utf-8") + b"\n")
+                calls += len(records)
+    assert calls == 21_672
+    assert digest.hexdigest() == _SCALAR_SWEEP_DIGEST
