@@ -108,7 +108,7 @@ def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarra
     contaminant so wide that a draw overflows the double range raises
     :class:`DomainError`.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n}")
     hit = np.flatnonzero(rng.random(n) < params.theta)
     x = rng.standard_normal(n)

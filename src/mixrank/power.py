@@ -20,16 +20,18 @@ ends at a barrier and a surface holds a bounded number of blocks however
 large its lattice.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
-A level-alpha test is a fixed critical region of its statistic, so the
-evaluators reject a row by comparing its statistic with a critical value,
-not by computing its p-value.  Both tests share the scalar p-values' rule: a
-row rejects iff its statistic, oriented toward the alternative by its mirror
-about the null centre (-t for t, n(n+1)/2 - W+ for W+), is >= c.  A cached
-search on the per-row rule's own p-value finds c for each (n, alpha,
-two-sidedness), starting at scipy's Student-t or normal quantile, so a cache
-miss costs one vectorised p-value call in the usual case.  The rules reject
-the same rows wherever that p-value is monotone in floating point;
-tests/test_power.py checks it next to every critical value.
+The signed-rank evaluator decides every tie-free row by the p-value the
+scalar test takes for it, the exact one up to ``AUTO_EXACT_MAX_N`` values
+and the normal approximation above, from one vectorised call per block and
+key width: a row rejects iff p <= alpha.  The t evaluator rejects a row by
+comparing its statistic with a critical value instead, which spares a
+``betainc`` call per row: a row rejects iff its t statistic, oriented toward
+the alternative as the scalar p-value orients it (-t for LESS, the larger of
+t and -t for TWO_SIDED), is >= c.  A cached search on the Student-t p-value
+finds c for each (n, alpha, two-sidedness), starting at scipy's quantile, so
+a cache miss costs one vectorised p-value call in the usual case.  The rule
+rejects the same rows as p <= alpha wherever that p-value is monotone in
+floating point; tests/test_power.py checks it next to every critical value.
 The signed-rank evaluator ranks rows on a ladder of key widths: the float32
 rounding of each value for rows of up to ``_KEY32_MAX_N`` values, the float64
 bits for rows still coarse and longer rows, and the scalar test for rows with
@@ -44,6 +46,7 @@ simulated twice.
 
 import functools
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +54,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
+from scipy.special import stdtrit
 
 from .errors import DomainError, InsufficientDataError, SearchOverflowError
 from .mixture import MixtureParams, sample as draw_sample
@@ -182,7 +185,7 @@ class EmpiricalArePoint:
 # vectorized per-block test evaluation
 # ---------------------------------------------------------------------------
 
-_CRITICAL_CACHE = 1024  # (n, alpha, two-sidedness) keys per test; a search probes ~20 n
+_CRITICAL_CACHE = 1024  # t's (n, alpha, two-sidedness) keys; a search probes ~20 n
 _WINDOW = 16  # points a critical-value search tests per round, but for its gallop
 _INF_ORDINAL = 0x7FF0_0000_0000_0000  # ordinal of +inf; -inf is its negation
 
@@ -256,29 +259,6 @@ def _t_critical_value(n: int, alpha: float, two_sided: bool) -> float:
     return float(_doubles(np.array(ordinal)))
 
 
-@functools.lru_cache(maxsize=_CRITICAL_CACHE)
-def _w_critical_value(n: int, alpha: float, two_sided: bool) -> int:
-    """The critical value k of the oriented W+ of n tie-free nonzero values at level alpha.
-
-    p is the exact p-value up to ``AUTO_EXACT_MAX_N`` and the normal
-    approximation above, as in the scalar test.  k is the smallest k with
-    p(k) <= alpha: GREATER's p over the support, or TWO_SIDED's, 1 at the
-    centre and monotone on each half, over the upper half; if none rejects,
-    k is one past the support.  The search starts at the normal
-    approximation's quantile.
-    """
-    top = n * (n + 1) // 2
-    p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
-    side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
-    sd = math.sqrt(top * (2 * n + 1) / 12.0)
-    # At alpha = 1 the quantile is infinite, so the guess is clamped to the support.
-    z = ndtri(alpha / 2 if two_sided else alpha)
-    guess = math.ceil(min(max(top / 2.0 + 0.5 - sd * z, 0.0), top))
-    return _first(
-        lambda k: p_value(k, n, side) <= alpha, (top + 1) // 2 if two_sided else 0, top + 1, guess
-    )
-
-
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the t test over the rows of ``x``.
 
@@ -295,11 +275,9 @@ def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[in
 def _wilcoxon_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:
     """Rejections and degenerate rows of the signed-rank test over the rows of ``x``.
 
-    A tie-free row without zeros rejects when its oriented integer W+
-    reaches the cached critical value, searched over the support: the rule
-    ``p <= alpha``, since W+ takes only support values.
-    Rows with zeros or tied magnitudes take the scalar test, and all-zero
-    rows are degenerate.
+    A tie-free row without zeros rejects when the scalar test's p-value of
+    its W+ is <= alpha.  Rows with zeros or tied magnitudes take the scalar
+    test itself, and all-zero rows are degenerate.
 
     Up to n = ``_KEY32_MAX_N`` rows are ranked on 32-bit keys built from
     float32 magnitudes.  Rounding a double to float32 is monotone, so where
@@ -346,18 +324,18 @@ def _rank_rejections(
     the sign of x is in the low bit a sort orders each row by magnitude.  On
     a row whose keys differ beyond the low bit and whose magnitudes are
     nonzero, the sorted position is the rank, so W+ is the rank sum over the
-    keys whose low bit is set.  The other rows are returned as a mask.
+    keys whose low bit is set.  Those rows reject when the scalar test's
+    p-value of W+, from one call on every row's W+, is <= alpha.  The other
+    rows are returned as a mask.
     """
     n = key.shape[1]
     np.bitwise_or(key, x > 0.0, out=key)
     key.sort(axis=1)
     coarse = _coarse_rows(key)
-    # W+ <= n(n+1)/2 fits uint32 up to n = 92681, far above _KEY32_MAX_N, and
-    # its mirror n(n+1)/2 - W+ cannot fall below 0.
+    # W+ <= n(n+1)/2 fits uint32 up to n = 92681, far above _KEY32_MAX_N.
     w = np.bitwise_and(key, 1, out=key) @ np.arange(1, n + 1, dtype=key.dtype)
-    top = n * (n + 1) // 2
-    k = _w_critical_value(n, alpha, sidedness is Sidedness.TWO_SIDED)
-    reject = ~coarse & (_oriented(w, lambda w: top - w, sidedness) >= k)
+    p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
+    reject = ~coarse & (p_value(w, n, sidedness) <= alpha)
     return int(np.count_nonzero(reject)), coarse
 
 
@@ -453,8 +431,11 @@ def _simulate_rejections(
 # ---------------------------------------------------------------------------
 
 def _integral(n, what: str) -> int:
-    """``n`` as an int; 20.0 and np.int64(20) pass, and True, 20.9, NaN and inf raise."""
-    if isinstance(n, (bool, np.bool_)) or (not isinstance(n, int) and not float(n).is_integer()):
+    """``n`` as an int; 20.0 and np.int64(20) pass, and True, "20", 20.9, NaN and inf raise."""
+    # np.bool_ is no numbers.Real, but bool is.
+    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (
+        isinstance(n, int) or float(n).is_integer()
+    ):
         raise DomainError(f"{what} must be an integer, got {n}")
     return int(n)
 

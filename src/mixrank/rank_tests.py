@@ -58,9 +58,13 @@ class Sample:
 
     def __init__(self, values):
         arr = np.asarray(values)
-        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+        # A cast to float would drop imaginary parts and parse strings.
+        if arr.dtype.kind in "cSU":
             raise DomainError("sample entries must be real")
-        arr = np.array(arr, dtype=float, copy=True)
+        try:
+            arr = np.array(arr, dtype=float, copy=True)
+        except (TypeError, ValueError):  # entries such as None beside a complex number
+            raise DomainError("sample entries must be real") from None
         if arr.ndim != 1:
             raise DomainError("sample must be one-dimensional")
         if arr.size < 1:
@@ -266,17 +270,15 @@ def wilcoxon_statistic(sample) -> tuple[float, int]:
 
 
 def _positive_pair_count(x: np.ndarray) -> int:
-    """Number of index pairs i < j with x[i] + x[j] > 0 (exact integer)."""
+    """Number of index pairs i < j with x[i] + x[j] > 0 (exact integer).
+
+    For finite doubles fl(a + b) > 0 iff a > -b, so in the sorted sample each
+    value sums positively with the values above its negation.  That counts
+    every pair twice and each positive value once more, with itself.
+    """
     s = np.sort(x)
-    count = 0
-    i, j = 0, s.size - 1
-    while i < j:
-        if s[i] + s[j] > 0.0:
-            count += j - i
-            j -= 1
-        else:
-            i += 1
-    return count
+    above = s.size - np.searchsorted(s, -s, side="right")
+    return (int(above.sum()) - int(np.count_nonzero(s > 0.0))) // 2
 
 
 def u_statistic(sample) -> float:

@@ -182,8 +182,9 @@ def test_sample_determinism_and_validation():
     a = sample(p, 50, seeded_rng(7, "det"))
     b = sample(p, 50, seeded_rng(7, "det"))
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(DomainError):
-        sample(p, 0, seeded_rng(7, "det"))
+    for bad in (0, True):
+        with pytest.raises(DomainError):
+            sample(p, bad, seeded_rng(7, "det"))
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,8 @@ from mixrank.rank_tests import (
     WilcoxonMode,
     _oriented,
     _t_p_value,
-    _wilcoxon_p_exact,
     _wilcoxon_p_normal,
+    exact_null_pmf,
     t_statistic,
     wilcoxon_test,
 )
@@ -62,7 +62,7 @@ def test_sim_config_validation():
 
 @pytest.mark.parametrize("field", ["nreps", "master_seed", "max_parallelism"])
 def test_sim_config_integer_fields(field):
-    for bad in (100.5, math.nan, math.inf, True, False, np.True_):
+    for bad in (100.5, math.nan, math.inf, True, False, np.True_, "100", "abc", None):
         with pytest.raises(DomainError):
             config(**{field: bad})
     for value in (100.0, np.int64(100), np.float64(100.0)):
@@ -164,7 +164,7 @@ def test_estimate_power_validation(monkeypatch):
         raise AssertionError("no draw before validation")
 
     monkeypatch.setattr(power, "draw_sample", refuse)
-    for n in (20.9, 2.5, math.nan, math.inf, np.float64(20.5)):
+    for n in (20.9, 2.5, math.nan, math.inf, np.float64(20.5), "20"):
         with pytest.raises(DomainError):
             estimate_power(TestKind.T, params, n, config())
 
@@ -545,6 +545,51 @@ def test_wilcoxon_rejections_match_scalar_test_when_most_rows_are_coarse(
     _match_scalar_test(x, 0.05, sidedness, monkeypatch)
 
 
+def _rows_of_every_w(n, rng):
+    """Rows of signed ranks +-1..+-n in shuffled order, one for each W+ in 0..n(n+1)/2.
+
+    Every row comes twice: on the magnitudes 1..n, and on the n doubles from
+    1.0 up, which float32 cannot tell apart, so that only 64-bit keys rank them.
+    """
+    top = n * (n + 1) // 2
+    signs = -np.ones((top + 1, n))  # column r - 1 holds the sign of rank r
+    for w in range(top + 1):
+        left = w
+        for rank in range(n, 0, -1):  # greedy from the top finds a subset summing to w
+            if rank <= left:
+                signs[w, rank - 1], left = 1.0, left - rank
+    order = np.argsort(rng.random(signs.shape), axis=1)
+    ranks = (order + 1).astype(float)
+    signs = np.take_along_axis(signs, order, axis=1)
+    assert ((signs > 0) * ranks).sum(axis=1).tolist() == list(range(top + 1))
+    return np.vstack([signs * ranks, signs * (1.0 + (ranks - 1.0) * 2.0**-52)])
+
+
+@pytest.mark.parametrize("n, tails", [(12, [50, 65, 78]), (30, [260, 320, 400])])
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_wilcoxon_rejections_at_an_attained_p_value(n, tails, sidedness, monkeypatch):
+    x = _rows_of_every_w(n, np.random.default_rng(n))
+    p = np.array([wilcoxon_test(row, sidedness, WilcoxonMode.AUTO).p_value for row in x])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no row has a float64 tie")
+
+    monkeypatch.setattr(power, "wilcoxon_test", refuse)
+    for k in tails:
+        # alpha is the p-value of W+ = k (of n(n+1)/2 - k for LESS): the exact
+        # tail or its normal approximation, as the scalar test takes it.
+        if n <= AUTO_EXACT_MAX_N:
+            tail = exact_null_pmf(n).sf(k)
+        else:
+            tail = _wilcoxon_p_normal(k, n, Sidedness.GREATER)
+        alpha = float(min(1.0, 2.0 * tail) if sidedness is Sidedness.TWO_SIDED else tail)
+        reject = p <= alpha
+        assert (p == alpha).sum() >= 2 and 0 < reject.sum() < reject.size
+        assert power._wilcoxon_rejections(x, alpha, sidedness) == (int(reject.sum()), 0)
+        assert power._wilcoxon_rejections(x[reject], alpha, sidedness) == (int(reject.sum()), 0)
+        assert power._wilcoxon_rejections(x[~reject], alpha, sidedness) == (0, 0)
+
+
 def _t_statistics_seen(x, monkeypatch):
     """The t statistics ``_t_rejections`` compares with c, and its degenerate count."""
     seen = []
@@ -668,23 +713,15 @@ def _doubles_around(c, k):
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
     two_sided = sidedness is Sidedness.TWO_SIDED
-    top = n * (n + 1) // 2
     for alpha in (1e-12, 0.01, 0.05, 0.5, 0.9):
         # The search itself, uncached: its probes reach |t| where t*t overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             c = power._t_critical_value.__wrapped__(n, alpha, two_sided)
-            k = power._w_critical_value.__wrapped__(n, alpha, two_sided)
         assert c == power._t_critical_value(n, alpha, two_sided)
-        assert k == power._w_critical_value(n, alpha, two_sided)
 
         near = _doubles_around(c, 64)
         stat = np.array([*near, *np.negative(near), 0.0, -0.0, np.inf, -np.inf, np.nan])
-        # W+ takes only the values of its support, so all of them are checked:
-        # a superset of k - 2 .. k + 2 and of its mirror.  The evaluators hold
-        # W+ unsigned, on 32 or 64 bits.
-        w = np.arange(top + 1)
-        p_value = _wilcoxon_p_exact if n <= AUTO_EXACT_MAX_N else _wilcoxon_p_normal
         with warnings.catch_warnings():
             # NaN statistics compare False, without a warning.
             warnings.simplefilter("error", RuntimeWarning)
@@ -692,11 +729,6 @@ def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
                 _oriented(stat, np.negative, sidedness) >= c,
                 _t_p_value(stat, n - 1, sidedness) <= alpha,
             )
-            for dtype in (np.uint32, np.uint64):
-                np.testing.assert_array_equal(
-                    _oriented(w.astype(dtype), lambda w: top - w, sidedness) >= k,
-                    p_value(w, n, sidedness) <= alpha,
-                )
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.9])
@@ -709,41 +741,47 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
     ok = sd != 0.0
     p = _t_p_value(mean[ok] / (sd[ok] / math.sqrt(n)), n - 1, sidedness)
     expected_t = (int((p <= alpha).sum()), int((~ok).sum()))
-    expected_w = power._wilcoxon_rejections(x, alpha, sidedness)  # fills the W cache
+    expected_w = power._wilcoxon_rejections(x, alpha, sidedness)
     power._t_critical_value(n, alpha, sidedness is Sidedness.TWO_SIDED)
 
     def refuse(*args):
         raise AssertionError("no p-value per row")
 
-    for name in ("_t_p_value", "_wilcoxon_p_exact", "_wilcoxon_p_normal"):
-        monkeypatch.setattr(power, name, refuse)
+    monkeypatch.setattr(power, "_t_p_value", refuse)
     assert power._t_rejections(x, alpha, sidedness) == expected_t
+    # W takes one p-value call per key width on all of its rows: the 400 rows
+    # on 32-bit keys, then the 8 coarse ones on 64-bit keys.
+    rows_per_call = []
+    for name in ("_wilcoxon_p_exact", "_wilcoxon_p_normal"):
+        def counted(w, *args, p_value=getattr(power, name)):
+            rows_per_call.append(w.size)
+            return p_value(w, *args)
+
+        monkeypatch.setattr(power, name, counted)
     assert power._wilcoxon_rejections(x, alpha, sidedness) == expected_w
+    assert rows_per_call == [400, 8]
 
 
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
     # A search that misses the cache starts at the quantile of scipy's
-    # Student-t or normal law, so it makes a few vectorised p-value calls
-    # where a bisection over the doubles makes ~64 scalar ones.  Recent
-    # scipy puts the t quantile within a few hundred doubles of c (1 to 5
-    # calls); the bound leaves room for a quantile off by 1e-7 relative.
+    # Student-t law, so it makes a few vectorised p-value calls where a
+    # bisection over the doubles makes ~64 scalar ones.  Recent scipy puts
+    # the quantile within a few hundred doubles of c (1 to 5 calls); the
+    # bound leaves room for a quantile off by 1e-7 relative.
     calls = []
-    for name in ("_t_p_value", "_wilcoxon_p_exact", "_wilcoxon_p_normal"):
-        def counted(*args, p_value=getattr(power, name)):
-            calls.append(1)
-            return p_value(*args)
 
-        monkeypatch.setattr(power, name, counted)
+    def counted(*args, p_value=power._t_p_value):
+        calls.append(1)
+        return p_value(*args)
+
+    monkeypatch.setattr(power, "_t_p_value", counted)
     two_sided = sidedness is Sidedness.TWO_SIDED
     for n in [*range(2, 61), 100, 1000, 5000]:
         for alpha in (0.01, 0.05):
             calls.clear()
             power._t_critical_value.__wrapped__(n, alpha, two_sided)
             assert len(calls) <= 10, (n, alpha)
-            calls.clear()
-            power._w_critical_value.__wrapped__(n, alpha, two_sided)
-            assert len(calls) <= 3, (n, alpha)
 
 
 def _separate_row(mu, sigma, theta, cfg, n_cap):

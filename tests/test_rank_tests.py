@@ -60,8 +60,16 @@ def test_sample_validation_and_immutability():
     with pytest.raises(DomainError):
         Sample([[1.0, 2.0]])
     # A cast to float would drop the imaginary parts, so complex input is refused,
-    # even where every imaginary part is zero.
-    for values in ([1 + 5j, 2.0, 3.5], np.array([1 + 5j, 2.0, 3.5]), np.array([1.0, 2.0], dtype=complex)):
+    # even where every imaginary part is zero; so are entries that are no numbers.
+    for values in (
+        [1 + 5j, 2.0, 3.5],
+        np.array([1 + 5j, 2.0, 3.5]),
+        np.array([1.0, 2.0], dtype=complex),
+        [1 + 5j, None],
+        np.array([1 + 5j, None], dtype=object),
+        ["a", 1.0],
+        ["1.5", 2.0],
+    ):
         with pytest.raises(DomainError, match="real"):
             Sample(values)
         with pytest.raises(DomainError, match="real"):
@@ -242,6 +250,13 @@ def test_u_statistic_matches_pair_enumeration():
         x = rng.normal(0.1, 1.0, int(rng.integers(2, 25)))
         brute = np.mean([xi + xj > 0 for xi, xj in combinations(x, 2)])
         assert u_statistic(x) == pytest.approx(brute, abs=1e-15)
+    # Zeros, ties, pairs that sum to exactly 0, subnormals and sums that
+    # overflow, and a rounded sample full of ties; Python floats add without
+    # an overflow warning.
+    edge = [0.0, -0.0, 1.5, -1.5, 1.5, 2.0, -3.0, 5e-324, -5e-324, -1e-310, 2e-310, 1e308, 1e308]
+    for x in (edge, np.negative(edge), np.round(rng.normal(0.0, 1.0, 60), 1)):
+        count = sum(xi + xj > 0 for xi, xj in combinations(map(float, x), 2))
+        assert u_statistic(x) == count / (len(x) * (len(x) - 1) // 2)
 
 
 def test_identity_examples():
