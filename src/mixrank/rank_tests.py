@@ -189,7 +189,9 @@ def _oriented(stat, mirror, sidedness: Sidedness):
         return stat
     if sidedness is Sidedness.LESS:
         return mirror(stat)
-    return np.maximum(stat, mirror(stat))
+    if sidedness is Sidedness.TWO_SIDED:
+        return np.maximum(stat, mirror(stat))
+    raise DomainError(f"sidedness must be a Sidedness, got {sidedness!r}")
 
 
 def _sided_p(upper, stat, mirror, sidedness: Sidedness):
@@ -449,8 +451,10 @@ def wilcoxon_test(
         use_exact = True
     elif mode is WilcoxonMode.NORMAL_APPROX:
         use_exact = False
-    else:
+    elif mode is WilcoxonMode.AUTO:
         use_exact = not tied and n_eff <= AUTO_EXACT_MAX_N
+    else:
+        raise DomainError(f"mode must be a WilcoxonMode, got {mode!r}")
 
     if use_exact:
         if tied:

@@ -50,10 +50,13 @@ def config(**overrides):
 
 
 def test_sim_config_validation():
-    with pytest.raises(DomainError):
-        config(alpha=0.0)
-    with pytest.raises(DomainError):
-        config(alpha=1.0)
+    for alpha in (0.0, 1.0, math.nan, "0.05", None):
+        with pytest.raises(DomainError):
+            config(alpha=alpha)
+    # A string that names a Sidedness is still no Sidedness.
+    for sidedness in ("less", "greater", "two_sided", None):
+        with pytest.raises(DomainError):
+            config(sidedness=sidedness)
     with pytest.raises(DomainError):
         config(nreps=0)
     with pytest.raises(DomainError):
@@ -677,27 +680,28 @@ def test_power_refuses_a_contaminant_whose_draws_overflow():
     "lo, hi", [(0, 1), (0, 2**20), (-power._INF_ORDINAL, power._INF_ORDINAL)]
 )
 def test_first_finds_the_step_of_any_predicate(lo, hi):
-    # Calls: the window round, one gallop, then rounds that each leave at
-    # most 1/17 of the interval, and a last round over at most 16 points.
-    splits, width = 1, hi - lo
-    while width > power._WINDOW:
-        splits, width = splits + 1, width // (power._WINDOW + 1)
-    bound = 2 + splits
-    for guess in {lo - 2**40, lo - 1, lo, (lo + hi) // 2, hi - 1, hi, hi + 5}:
-        offsets = [0, 1e6, 2**60, *range(7, 10)]
-        steps = {lo, hi - 1, hi} | {guess + sign * int(d) for d in offsets for sign in (1, -1)}
-        for step in steps:
-            step = min(max(step, lo), hi)  # hi: no k in [lo, hi) rejects
-            sizes = []
+    # Each call but the last leaves at most 1/_WAYS of the range, and the
+    # last tests every point left.
+    bound, width = 1, hi - lo
+    while width > power._WAYS:
+        bound, width = bound + 1, -(-width // power._WAYS)
+    centres = {lo - 2**40, lo - 1, lo, (lo + hi) // 2, hi - 1, hi, hi + 5}
+    offsets = [0, 1e6, 2**60, *range(7, 10)]
+    steps = {lo, hi - 1, hi} | {
+        centre + sign * int(d) for centre in centres for d in offsets for sign in (1, -1)
+    }
+    for step in steps:
+        step = min(max(step, lo), hi)  # hi: no k in [lo, hi) rejects
+        sizes = []
 
-            def rejects(k):
-                assert k.dtype == np.int64 and 0 < k.size <= 64
-                assert lo <= k.min() and k.max() < hi
-                sizes.append(k.size)
-                return k >= step
+        def rejects(k):
+            assert k.dtype == np.int64 and 0 < k.size <= power._WAYS
+            assert lo <= k.min() and k.max() < hi
+            sizes.append(k.size)
+            return k >= step
 
-            assert power._first(rejects, lo, hi, guess) == step, (guess, step)
-            assert len(sizes) <= bound, (guess, step, len(sizes))
+        assert power._first(rejects, lo, hi) == step, step
+        assert len(sizes) <= bound, (step, len(sizes))
 
 
 def _doubles_around(c, k):
@@ -709,11 +713,12 @@ def _doubles_around(c, k):
     return below[:0:-1] + above
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 20, 25, 26, 100, 1000])
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 25, 26, 100, 1000, 10**6])
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_critical_values_reject_as_the_per_row_p_value(n, sidedness):
     two_sided = sidedness is Sidedness.TWO_SIDED
-    for alpha in (1e-12, 0.01, 0.05, 0.5, 0.9):
+    # alpha near 0.5 (GREATER) and 1 (TWO_SIDED) put c near 0.
+    for alpha in (1e-12, 0.01, 0.05, 0.4999999, 0.5, 0.5000001, 0.9, 1 - 2**-53):
         # The search itself, uncached: its probes reach |t| where t*t overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -764,11 +769,9 @@ def test_evaluators_call_no_p_value_per_row(alpha, sidedness, monkeypatch):
 
 @pytest.mark.parametrize("sidedness", list(Sidedness))
 def test_uncached_search_makes_few_p_value_calls(sidedness, monkeypatch):
-    # A search that misses the cache starts at the quantile of scipy's
-    # Student-t law, so it makes a few vectorised p-value calls where a
-    # bisection over the doubles makes ~64 scalar ones.  Recent scipy puts
-    # the quantile within a few hundred doubles of c (1 to 5 calls); the
-    # bound leaves room for a quantile off by 1e-7 relative.
+    # A search that misses the cache narrows the 2**64 doubles 256-fold per
+    # vectorised p-value call, so it makes at most 8 calls where a bisection
+    # over the doubles makes ~64 scalar ones.
     calls = []
 
     def counted(*args, p_value=power._t_p_value):

@@ -100,6 +100,10 @@ def test_t_test_examples():
     assert greater.p_value == pytest.approx(0.03708995011372427, abs=1e-10)
     for sidedness in Sidedness:
         assert type(t_test([1.0, 2.0, 4.0], sidedness).p_value) is float
+    # A string that names a Sidedness is still no Sidedness.
+    for sidedness in ("greater", "two_sided", None):
+        with pytest.raises(DomainError, match="Sidedness"):
+            t_test([1.0, 2.0, 4.0], sidedness)
 
 
 def test_t_test_validates_its_sample_once(monkeypatch):
@@ -396,6 +400,14 @@ def test_wilcoxon_auto_mode_switch():
     assert wilcoxon_test(large).method is Method.NORMAL_APPROX
     tied = [1.0, -1.0, 2.0]
     assert wilcoxon_test(tied).method is Method.NORMAL_APPROX
+    # Strings that name a mode or a sidedness are neither, on every branch.
+    for x in (small, large, tied):
+        for mode in ("normal_approx", "exact", None):
+            with pytest.raises(DomainError, match="WilcoxonMode"):
+                wilcoxon_test(x, Sidedness.GREATER, mode)
+        for sidedness in ("greater", "two_sided", None):
+            with pytest.raises(DomainError, match="Sidedness"):
+                wilcoxon_test(x, sidedness)
 
 
 def test_wilcoxon_exact_refuses_ties():
