@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integers
 from .mixture import _check_mu_sigma, _over_root_one_plus_square, xi_w_slope_at_null
 
 _NULL_SD_W = math.sqrt(1.0 / 3.0)
@@ -79,6 +79,11 @@ def are(mu: float, sigma: float, variant: AreVariant = AreVariant.EFFICACY_DERIV
     so the two surfaces stay in exact ratio.
     """
     _check_mu_sigma(mu, sigma)
+    return _are(mu, sigma, variant)
+
+
+def _are(mu: float, sigma: float, variant: AreVariant) -> float:
+    # The grid and the boundary search check their (mu, sigma) once, not at each point.
     x = _over_root_one_plus_square(mu, sigma, 2.0)
     if abs(x) < sys.float_info.min:
         # Past 1e153 the square could overflow; 1 + sigma^2 rounds to sigma^2 there.
@@ -118,10 +123,7 @@ def dominance_grid(
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
     for steps in (steps_mu, steps_sigma):
-        if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
-            raise DomainError(f"lattice step counts must be integers, got {steps!r}")
-    if steps_mu < 2 or steps_sigma < 2:
-        raise DomainError("each axis needs at least two lattice points")
+        _integers(steps, "lattice step counts must be integers >= 2, got {}", 2, scalar=True)
     if not (mu_lo <= mu_hi and sigma_lo <= sigma_hi):
         raise DomainError("axis ranges must be nonempty (lo <= hi)")
     if sigma_lo <= 0.0:
@@ -131,7 +133,7 @@ def dominance_grid(
     mu_axis = np.linspace(mu_lo, mu_hi, steps_mu)
     sigma_axis = np.linspace(sigma_lo, sigma_hi, steps_sigma)
     sigmas = sigma_axis.tolist()
-    values = np.array([[are(m, s, variant) for s in sigmas] for m in mu_axis.tolist()])
+    values = np.array([[_are(m, s, variant) for s in sigmas] for m in mu_axis.tolist()])
     values.flags.writeable = False
     mu_axis.flags.writeable = False
     sigma_axis.flags.writeable = False
@@ -152,11 +154,11 @@ def dominance_boundary(
         return None
     lo = 1e-8
     hi = 1.0
-    while are(hi, sigma, variant) >= 1.0:
+    while _are(hi, sigma, variant) >= 1.0:
         hi *= 2.0
     for _ in range(500):
         mid = 0.5 * (lo + hi)
-        value = are(mid, sigma, variant)
+        value = _are(mid, sigma, variant)
         if abs(value - 1.0) <= _BOUNDARY_TOL:
             return mid
         if value > 1.0:

@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by all modules."""
+"""Semantic exception hierarchy shared by all modules, and the one rule for integer arguments."""
+
+import numpy as np
 
 
 class MixrankError(Exception):
@@ -7,6 +9,15 @@ class MixrankError(Exception):
 
 class DomainError(MixrankError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def _integers(value, message: str, lo: int, hi: int = np.iinfo(np.intp).max, *, scalar=False):
+    """``value`` as ``np.intp``, if all integers (no bools) in ``lo..hi``, and one if ``scalar``."""
+    k = np.asarray(value)
+    bad = [value] if k.dtype.kind not in "iu" or (scalar and k.ndim) else k[(k < lo) | (k > hi)]
+    if len(bad):
+        raise DomainError(message.format(bad[0]))
+    return np.intp(k) if scalar else k.astype(np.intp, copy=False)
 
 
 class InsufficientDataError(MixrankError, ValueError):

@@ -8,13 +8,14 @@ statistics as the mixing proportion moves away from the null.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError
+from .errors import DomainError, _integers
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -41,26 +42,31 @@ class MixtureParams:
     sigma: float
 
     def __post_init__(self):
-        theta, mu, sigma = float(self.theta), float(self.mu), float(self.sigma)
-        if not math.isfinite(theta):
-            raise DomainError("mixture parameters must be finite")
-        _check_mu_sigma(mu, sigma)
-        if not 0.0 <= theta <= 1.0:
-            raise DomainError(f"mixing proportion must lie in [0, 1], got {theta}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        if not (_is_real(self.theta) and math.isfinite(self.theta)):
+            raise DomainError(f"mixing proportion must be a finite real number, got {self.theta}")
+        _check_mu_sigma(self.mu, self.sigma)
+        if not 0.0 <= self.theta <= 1.0:
+            raise DomainError(f"mixing proportion must lie in [0, 1], got {self.theta}")
+        for name in ("theta", "mu", "sigma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def from_variance(cls, theta: float, mu: float, variance: float) -> "MixtureParams":
         """Build params for a contaminant specified as N(mu, variance)."""
-        if not variance > 0.0:
-            raise DomainError(f"component variance must be positive, got {variance}")
+        if not (_is_real(variance) and variance > 0.0):
+            raise DomainError(f"component variance must be a positive real, got {variance}")
         return cls(theta, mu, math.sqrt(variance))
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number; strings, None and bools are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_mu_sigma(mu: float, sigma: float) -> None:
-    """The one rule on a contaminant's (mu, sigma): both finite, sigma positive."""
+    """The one rule on a contaminant's (mu, sigma): both finite reals, sigma positive."""
+    if not (_is_real(mu) and _is_real(sigma)):
+        raise DomainError(f"mixture parameters must be real numbers, got {mu}, {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError("mixture parameters must be finite")
     if not sigma > 0.0:
@@ -108,8 +114,7 @@ def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarra
     contaminant so wide that a draw overflows the double range raises
     :class:`DomainError`.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"sample size must be a positive integer, got {n}")
+    n = _integers(n, "sample size must be a positive integer, got {}", 1, scalar=True)
     hit = np.flatnonzero(rng.random(n) < params.theta)
     x = rng.standard_normal(n)
     with np.errstate(over="raise"):
@@ -121,16 +126,25 @@ def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarra
     return x
 
 
+def _variance(theta: float, mu: float, sigma: float, between: bool = True) -> float:
+    """The mixture variance by the law of total variance, a polynomial in theta.
+
+    (1-theta) + theta*sigma^2 within the components, plus theta*(1-theta)*mu^2
+    between them unless ``between`` is false.  No term cancels another.  theta
+    multiplies first, so a weightless component adds 0 however wide it is,
+    and a term that overflows reads inf.
+    """
+    within = (1.0 - theta) + theta * sigma * sigma
+    return within + theta * (1.0 - theta) * mu * mu if between else within
+
+
 def moments(params: MixtureParams) -> tuple[float, float]:
     """Exact (mean, variance) of the mixture.
 
-    mean = theta*mu and variance = (1-theta) + theta*(sigma^2 + mu^2)
-    - (theta*mu)^2.
+    mean = theta*mu and variance = (1-theta) + theta*sigma^2
+    + theta*(1-theta)*mu^2; the variance reads inf where it overflows.
     """
-    theta, mu, sigma = params.theta, params.mu, params.sigma
-    mean = theta * mu
-    variance = (1.0 - theta) + theta * (sigma * sigma + mu * mu) - mean * mean
-    return mean, variance
+    return params.theta * params.mu, _variance(params.theta, params.mu, params.sigma)
 
 
 class MeanFunctionVariant(Enum):
@@ -149,10 +163,9 @@ class MeanFunctionVariant(Enum):
 
 def _xi_t_value(theta: float, mu: float, sigma: float, variant: MeanFunctionVariant) -> float:
     # Valid for theta slightly outside [0, 1]; needed by derivative checks.
-    if variant is MeanFunctionVariant.PRINTED:
-        denom_sq = (1.0 - theta) + theta * sigma * sigma
-    else:
-        denom_sq = (1.0 - theta) + theta * (sigma * sigma + mu * mu) - (theta * mu) ** 2
+    denom_sq = _variance(theta, mu, sigma, between=variant is MeanFunctionVariant.EXACT)
+    if not 0.0 < denom_sq < math.inf:
+        raise DomainError(f"mixture variance {denom_sq} leaves the positive double range")
     return theta * mu / math.sqrt(denom_sq)
 
 

@@ -455,12 +455,11 @@ def power_ratio_surface(
     at size level) and whenever the t-test power is dominated by its own
     Monte Carlo error (power_t < 10 * se_t, or no rejections at all).
     """
-    theta_axis = [float(t) for t in theta_axis]
-    n_axis = [_sample_size(n) for n in n_axis]
-    if not theta_axis or not n_axis:
-        raise DomainError("theta and n axes must be nonempty")
     # Every parameter set is checked before the first cell is simulated.
     params_axis = [MixtureParams(theta, mu, sigma) for theta in theta_axis]
+    n_axis = [_sample_size(n) for n in n_axis]
+    if not params_axis or not n_axis:
+        raise DomainError("theta and n axes must be nonempty")
     cells = [(params, n) for params in params_axis for n in n_axis]
     rows = []
     for (params, n), estimates in zip(
@@ -509,7 +508,7 @@ def _sample_size_searches(
     those that missed.  The two intervals never meet again, so no (cell, n)
     is simulated twice, and each search probes what it would probe alone.
     """
-    if not 0.0 < target_power < 1.0:
+    if not isinstance(target_power, numbers.Real) or not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
@@ -590,7 +589,9 @@ def empirical_are(
     Every theta is checked before the first search.  On a search overflow
     the completed rows ride along on the exception's ``partial`` attribute.
     """
-    thetas = [float(t) for t in theta_sequence]
+    # Every parameter set is checked before the first search.
+    params_schedule = [MixtureParams(theta, mu, sigma) for theta in theta_sequence]
+    thetas = [params.theta for params in params_schedule]
     if not thetas:
         raise DomainError("theta schedule must be nonempty")
     if any(t <= 0.0 for t in thetas):
@@ -598,8 +599,6 @@ def empirical_are(
     if any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise DomainError("theta schedule must decrease toward 0")
 
-    # Every parameter set is checked before the first search.
-    params_schedule = [MixtureParams(theta, mu, sigma) for theta in thetas]
     rows: list[EmpiricalArePoint] = []
     for params in params_schedule:
         try:

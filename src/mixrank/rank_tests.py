@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     TiesUnsupportedError,
+    _integers,
 )
 
 EXACT_NULL_MAX_N = 60   # keeps the integer DP table comfortably exact
@@ -333,25 +334,18 @@ class NullPmf:
     def support_max(self) -> int:
         return self.n * (self.n + 1) // 2
 
-    def _support_index(self, k):
+    def _support_index(self, k, scalar=False):
         """``k`` as an index, once every entry of it lies inside the support."""
         top = self.support_max
-        if isinstance(k, (int, np.integer)):  # no array overhead on a scalar lookup
-            outside = () if 0 <= k <= top else (k,)
-        else:
-            k = np.asarray(k)
-            outside = k[(k < 0) | (k > top)]
-        if len(outside):
-            raise DomainError(f"{outside[0]} is outside the support 0..{top}")
-        return k
+        return _integers(k, f"{{}} is outside the support 0..{top}", 0, top, scalar=scalar)
 
     def mass(self, k: int) -> Fraction:
         """Exact probability P(W+ = k) as a rational number."""
-        return Fraction(self.counts[self._support_index(k)], 1 << self.n)
+        return Fraction(self.counts[self._support_index(k, scalar=True)], 1 << self.n)
 
     def probability(self, k: int) -> float:
         """P(W+ = k) as a correctly rounded float."""
-        return self.counts[self._support_index(k)] / (1 << self.n)
+        return self.counts[self._support_index(k, scalar=True)] / (1 << self.n)
 
     def cdf(self, k):
         """P(W+ <= k); accepts integer scalars or arrays inside the support."""
@@ -386,10 +380,8 @@ def exact_null_pmf(n: int) -> NullPmf:
     table's mean and variance recover n(n+1)/4 and n(n+1)(2n+1)/24 as
     rationals.
     """
-    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not integer or not 1 <= n <= EXACT_NULL_MAX_N:
-        raise DomainError(f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {n}")
-    n = int(n)
+    message = f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {{}}"
+    n = int(_integers(n, message, 1, EXACT_NULL_MAX_N, scalar=True))
     with _pmf_lock:
         pmf = _pmf_cache.get(n)
         if pmf is None:

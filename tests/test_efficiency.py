@@ -167,7 +167,7 @@ def test_dominance_grid_validation():
     ]:
         with pytest.raises(DomainError, match="finite"):
             dominance_grid(mu_range, sigma_range, 2, 2)
-    # Step counts are integers, as the exact null pmf's n is.
+    # Step counts obey the one integer rule (see tests/test_errors.py).
     for steps in (2.5, 3.0, np.float64(3.0), True, "3"):
         for steps_mu, steps_sigma in ((steps, 2), (2, steps)):
             with pytest.raises(DomainError, match="integer"):
@@ -185,11 +185,16 @@ def test_dominance_grid_validation():
         (1.0, math.inf),
         (1.0, 0.0),
         (1.0, -1.0),
+        ("1", 1.0),
+        (1.0, "1"),
+        (None, 1.0),
+        (True, 1.0),
+        (1.0, True),
     ],
 )
 def test_every_entry_point_keeps_the_mixture_rule_on_mu_sigma(mu, sigma):
     calls = [efficacy_t, efficacy_w, are, xi_w_slope_at_null, lambda m, s: MixtureParams(0.5, m, s)]
-    if mu == 1.0:
+    if isinstance(mu, float) and mu == 1.0:  # only sigma is out of the domain
         calls.append(lambda m, s: dominance_boundary(s))
     for call in calls:
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,12 +64,17 @@ def test_params_validation():
         MixtureParams(0.5, math.nan, 1.0)
     with pytest.raises(DomainError):
         MixtureParams(0.5, math.inf, 1.0)
+    # Model arguments are real numbers: no strings, None or bools.
+    for bad in ("0.5", None, True, np.bool_(True)):
+        for args in ((bad, 0.0, 1.0), (0.5, bad, 1.0), (0.5, 0.0, bad)):
+            with pytest.raises(DomainError):
+                MixtureParams(*args)
 
 
 def test_from_variance_stores_sd():
     p = MixtureParams.from_variance(0.4, 0.2, 0.1)
     assert p.sigma == pytest.approx(math.sqrt(0.1), abs=0)
-    for variance in (0.0, -1.0, math.nan, math.inf):
+    for variance in (0.0, -1.0, math.nan, math.inf, "1", None, True):
         with pytest.raises(DomainError):
             MixtureParams.from_variance(0.4, 0.2, variance)
 
@@ -274,6 +280,46 @@ def test_moments_examples_and_mc_agreement():
 # ---------------------------------------------------------------------------
 # mean functions
 # ---------------------------------------------------------------------------
+
+def _exact_variance(params):
+    """The mixture variance of the doubles in ``params``, in rational arithmetic."""
+    theta, mu, sigma = (Fraction(v) for v in (params.theta, params.mu, params.sigma))
+    return (1 - theta) + theta * sigma * sigma + theta * (1 - theta) * mu * mu
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        MixtureParams(1.0, 1.0, 1e-7),
+        MixtureParams(1.0, 1.0, 1e-8),
+        MixtureParams(0.999, 1.0, 0.1),
+        MixtureParams(0.999, 3.0, 1e-3),
+        MixtureParams(0.3, 1.0, 2.0),
+    ],
+)
+def test_variance_does_not_cancel(params):
+    exact = _exact_variance(params)
+    _, variance = moments(params)
+    assert variance == pytest.approx(float(exact), rel=1e-15, abs=0)
+    expected = Fraction(params.theta) * Fraction(params.mu) / math.sqrt(exact)
+    assert xi_t(params) == pytest.approx(float(expected), rel=1e-15, abs=0)
+
+
+def test_variance_past_the_square_overflow():
+    # At theta = 1 there is no between-component term, so nothing overflows.
+    pure = MixtureParams(1.0, 1e200, 1.0)
+    assert moments(pure) == (1e200, 1.0)
+    assert xi_t(pure) == 1e200
+    # At theta = 0 the contaminant has no weight, however wide it is.
+    null = MixtureParams(0.0, 1.0, 1e200)
+    assert moments(null) == (0.0, 1.0)
+    assert [xi_t(null, variant) for variant in MeanFunctionVariant] == [0.0, 0.0]
+    wide = MixtureParams(0.5, 1e200, 1e200)
+    assert moments(wide) == (5e199, math.inf)
+    for variant in MeanFunctionVariant:
+        with pytest.raises(DomainError, match="variance"):
+            xi_t(wide, variant)
+
 
 def test_xi_t_examples():
     null = MixtureParams(0.0, 2.0, 1.5)

@@ -264,6 +264,9 @@ def test_power_ratio_surface_validation(monkeypatch):
         power_ratio_surface(1.0, 1.0, [], [20], config())
     with pytest.raises(DomainError):
         power_ratio_surface(1.0, 1.0, [1.2], [20], config())
+    for theta in ("0.5", None, True):
+        with pytest.raises(DomainError):
+            power_ratio_surface(1.0, 1.0, [theta], [20], config())
     rows = power_ratio_surface(1.0, 1.0, [0.5], [20.0, np.int64(21)], config(nreps=50))
     assert [(row.n, type(row.n)) for row in rows] == [(20, int), (21, int)]
 
@@ -317,6 +320,11 @@ def test_min_sample_size_validation_and_overflow():
         min_sample_size(TestKind.T, MixtureParams(0.0, 1.0, 1.0), 0.8, cfg)
     with pytest.raises(DomainError):
         min_sample_size(TestKind.T, MixtureParams(0.5, 1.0, 1.0), 1.0, cfg)
+    for target_power in ("0.8", None):
+        with pytest.raises(DomainError):
+            min_sample_size(TestKind.T, MixtureParams(0.5, 1.0, 1.0), target_power, cfg)
+        with pytest.raises(DomainError):
+            empirical_are(1.0, 1.0, [0.5], target_power, cfg)
     with pytest.raises(SearchOverflowError) as excinfo:
         min_sample_size(TestKind.T, MixtureParams(0.01, 0.1, 1.0), 0.9, cfg, n_cap=64)
     assert excinfo.value.partial  # probes are reported, not discarded
@@ -352,6 +360,9 @@ def test_empirical_are_schedule_validation():
         empirical_are(1.0, 1.0, [0.5, 0.5], 0.8, cfg)
     with pytest.raises(DomainError):
         empirical_are(1.0, 1.0, [0.5, -0.1], 0.8, cfg)
+    for theta in ("0.5", None, True):
+        with pytest.raises(DomainError):
+            empirical_are(1.0, 1.0, [theta], 0.8, cfg)
 
 
 def test_empirical_are_rows_and_reciprocal():
