@@ -265,11 +265,15 @@ def cmd_test(args: argparse.Namespace) -> None:
 
 def cmd_null_dist(args: argparse.Namespace) -> None:
     pmf = exact_null_pmf(args.n)
-    total = 1 << pmf.n
-    # count / total is NullPmf.probability's correctly rounded quotient, in _fmt's format.
-    lines = ["k,count,probability"]
-    lines.extend(f"{k},{count},{count / total:.9g}" for k, count in enumerate(pmf.counts))
-    _emit(args, "null-dist", "\n".join(lines) + "\n")
+    total, top = 1 << pmf.n, pmf.support_max
+    # count / total is NullPmf.probability's correctly rounded quotient, in
+    # _fmt's format.  The counts are exactly symmetric (counts[k] ==
+    # counts[top - k]), so only the cells for k <= top/2 are formatted and
+    # the upper half is their mirror image.
+    cells = [f"{count},{count / total:.9g}\n" for count in pmf.counts[: top // 2 + 1]]
+    cells += cells[top - len(cells)::-1]
+    rows = "".join([f"{k},{cell}" for k, cell in enumerate(cells)])
+    _emit(args, "null-dist", "k,count,probability\n" + rows)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, _integers
-from .mixture import _check_mu_sigma, _over_root_one_plus_square, xi_w_slope_at_null
+from .mixture import _check_mu_sigma, _is_real, _over_root_one_plus_square, xi_w_slope_at_null
 
 _NULL_SD_W = math.sqrt(1.0 / 3.0)
 _BOUNDARY_TOL = 1e-9
@@ -120,8 +120,10 @@ def dominance_grid(
     variant: AreVariant = AreVariant.EFFICACY_DERIVED,
 ) -> EfficiencyGrid:
     """Tabulate :func:`are` over an evenly spaced (mu, sigma) lattice."""
-    mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
-    sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
+    ends = (mu_range[0], mu_range[1], sigma_range[0], sigma_range[1])
+    if not all(map(_is_real, ends)):
+        raise DomainError(f"axis range ends must be real numbers, got {mu_range}, {sigma_range}")
+    mu_lo, mu_hi, sigma_lo, sigma_hi = map(float, ends)
     for steps in (steps_mu, steps_sigma):
         _integers(steps, "lattice step counts must be integers >= 2, got {}", 2, scalar=True)
     if not (mu_lo <= mu_hi and sigma_lo <= sigma_hi):

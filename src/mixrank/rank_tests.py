@@ -317,18 +317,21 @@ class NullPmf:
     """Exact null law of W+ for a continuous sample symmetric about zero.
 
     ``counts[k]`` is the number of the 2^n equiprobable sign patterns whose
-    rank sum equals k, held as exact integers; the support is 0..n(n+1)/2.
-    Instances are immutable and safe to share across threads.
+    rank sum equals k, held as a tuple of Python ints; the support is
+    0..n(n+1)/2.  ``counts`` may be any integer sequence or int64 array,
+    such as the one :func:`exact_null_pmf` builds.  Instances are immutable
+    and safe to share across threads.
     """
 
     __slots__ = ("n", "counts", "_cdf")
 
     def __init__(self, n: int, counts):
         self.n = int(n)
-        self.counts = tuple(map(int, counts))
+        table = np.asarray(counts, dtype=np.int64)
+        self.counts = tuple(table.tolist())
         # Exact int64 prefix sums first (they reach 2^n <= 2^60), then one
         # division by a power of two, so each float is correctly rounded.
-        self._cdf = np.cumsum(np.array(self.counts, dtype=np.int64)) / (1 << self.n)
+        self._cdf = np.cumsum(table) / (1 << self.n)
 
     @property
     def support_max(self) -> int:
@@ -389,7 +392,7 @@ def exact_null_pmf(n: int) -> NullPmf:
             counts[0] = 1
             for i in range(1, n + 1):
                 counts[i:] += counts[:-i].copy()
-            pmf = NullPmf(n, counts.tolist())
+            pmf = NullPmf(n, counts)
             _pmf_cache[n] = pmf
         return pmf
 

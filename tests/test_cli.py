@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixrank import __version__, power
+from mixrank import __version__, power, rank_tests
 from mixrank.cli import build_parser, main
 from mixrank.efficiency import AreVariant, are, efficacy_t, efficacy_w
 from mixrank.errors import SearchOverflowError
 from mixrank.mixture import MixtureParams
 from mixrank.power import SimConfig, TestKind, empirical_are, min_sample_size
-from mixrank.rank_tests import Sidedness, WilcoxonMode, t_test, wilcoxon_test
+from mixrank.rank_tests import Sidedness, WilcoxonMode, exact_null_pmf, t_test, wilcoxon_test
 
 
 def run_cli(capsys, *argv):
@@ -487,6 +487,23 @@ def test_null_dist_n1(capsys):
     assert [r.split(",")[2] for r in rows] == ["0.5", "0.5"]
 
 
+def test_null_dist_renders_every_row_of_every_table(capsys, monkeypatch):
+    # null-dist formats the lower half of the table and mirrors it; this
+    # renders each row on its own, from the first build and from the cache.
+    monkeypatch.setattr(rank_tests, "_pmf_cache", {})
+    for _ in ("cold", "warm"):
+        for n in range(1, 61):
+            code, out, err = run_cli(capsys, "null-dist", "--n", str(n))
+            assert (code, err) == (0, "")
+            pmf = exact_null_pmf(n)
+            rows = [
+                f"{k},{pmf.counts[k]},{format(pmf.probability(k), '.9g')}"
+                for k in range(pmf.support_max + 1)
+            ]
+            assert out == "\n".join(["k,count,probability", *rows]) + "\n"
+        assert len(rank_tests._pmf_cache) == 60
+
+
 def test_null_dist_out_of_range(capsys):
     code, _, err = run_cli(capsys, "null-dist", "--n", "61")
     assert code == 2
@@ -746,7 +763,9 @@ def test_payload_digests_greater(capsys, argv, digest):
 
 
 # The null-dist payload is integer arithmetic and one correctly rounded
-# division per row, so these digests hold on every platform.
+# division per row, so these digests hold on every platform.  Only the rows
+# k <= n(n+1)/4 are formatted; the rest mirror them, as the exactly
+# symmetric counts do (see test_null_dist_renders_every_row_of_every_table).
 @pytest.mark.parametrize(
     "n, digest",
     [

@@ -167,6 +167,20 @@ def test_dominance_grid_validation():
     ]:
         with pytest.raises(DomainError, match="finite"):
             dominance_grid(mu_range, sigma_range, 2, 2)
+    # Range ends obey the real-number rule of are and MixtureParams.
+    for bad in ("0.5", True, np.bool_(True), None):
+        for mu_range, sigma_range in [
+            ((bad, 1.0), (0.5, 1.0)),
+            ((0.0, bad), (0.5, 1.0)),
+            ((0.0, 1.0), (bad, 1.0)),
+            ((0.0, 1.0), (0.5, bad)),
+        ]:
+            with pytest.raises(DomainError, match="real numbers"):
+                dominance_grid(mu_range, sigma_range, 2, 2)
+    with pytest.raises(DomainError, match="real numbers"):
+        dominance_grid(("0", "1"), ("0.5", True), 2, 2)
+    ints = dominance_grid((np.int64(0), 1), (np.float64(0.5), 1), 2, 2)
+    np.testing.assert_array_equal(ints.values, dominance_grid((0.0, 1.0), (0.5, 1.0), 2, 2).values)
     # Step counts obey the one integer rule (see tests/test_errors.py).
     for steps in (2.5, 3.0, np.float64(3.0), True, "3"):
         for steps_mu, steps_sigma in ((steps, 2), (2, steps)):

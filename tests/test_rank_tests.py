@@ -20,6 +20,7 @@ from mixrank.errors import (
 )
 from mixrank.rank_tests import (
     Method,
+    NullPmf,
     Sample,
     Sidedness,
     WilcoxonMode,
@@ -315,6 +316,34 @@ def test_exact_null_pmf_symmetry_total_and_moments():
         assert len(pmf.counts) == top + 1
         assert pmf.exact_mean() == Fraction(n * (n + 1), 4)
         assert pmf.exact_variance() == Fraction(n * (n + 1) * (2 * n + 1), 24)
+
+
+def python_int_counts(n):
+    """Coefficients of prod_{i=1..n} (1 + z^i) in Python ints, apart from the DP in int64."""
+    counts = [1]
+    for i in range(1, n + 1):
+        counts = [a + b for a, b in zip(counts + [0] * i, [0] * i + counts)]
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 60])
+def test_null_pmf_takes_any_integer_table(n):
+    counts = python_int_counts(n)
+    built = [
+        NullPmf(n, counts),
+        NullPmf(n, tuple(counts)),
+        NullPmf(n, np.array(counts, dtype=np.int64)),
+        exact_null_pmf(n),
+    ]
+    for pmf in built:
+        assert pmf.counts == tuple(counts)
+        # At n = 60 the terms k * k * count of the second moment pass int64's
+        # range, so exact_variance is exact only over Python ints.
+        assert all(type(c) is int for c in pmf.counts)
+        assert pmf._cdf.tobytes() == built[0]._cdf.tobytes()
+        assert pmf.exact_variance() == Fraction(n * (n + 1) * (2 * n + 1), 24)
+        for k in (0, 1, pmf.support_max // 2, pmf.support_max):
+            assert pmf.mass(k) == Fraction(counts[k], 1 << n)
 
 
 def test_exact_null_pmf_domain():
