@@ -396,19 +396,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
-    except DataFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SearchOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DomainError, InsufficientDataError) as exc:
-        # Bad flag values are usage errors.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MixrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, DataFileError):
+            return 3
+        # Bad flag values are usage errors; a search overflow is a compute error.
+        return 2 if isinstance(exc, (DomainError, InsufficientDataError)) else 4
     return 0
 
 

@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, _integers
-from .mixture import _check_mu_sigma, _is_real, _over_root_one_plus_square, xi_w_slope_at_null
+from .errors import DomainError, _integers, _member
+from .mixture import _check_mu_sigma, _over_root_one_plus_square, xi_w_slope_at_null
 
 _NULL_SD_W = math.sqrt(1.0 / 3.0)
 _BOUNDARY_TOL = 1e-9
@@ -79,7 +79,7 @@ def are(mu: float, sigma: float, variant: AreVariant = AreVariant.EFFICACY_DERIV
     so the two surfaces stay in exact ratio.
     """
     _check_mu_sigma(mu, sigma)
-    return _are(mu, sigma, variant)
+    return _are(mu, sigma, _member(variant, AreVariant, "variant"))
 
 
 def _are(mu: float, sigma: float, variant: AreVariant) -> float:
@@ -120,18 +120,15 @@ def dominance_grid(
     variant: AreVariant = AreVariant.EFFICACY_DERIVED,
 ) -> EfficiencyGrid:
     """Tabulate :func:`are` over an evenly spaced (mu, sigma) lattice."""
-    ends = (mu_range[0], mu_range[1], sigma_range[0], sigma_range[1])
-    if not all(map(_is_real, ends)):
-        raise DomainError(f"axis range ends must be real numbers, got {mu_range}, {sigma_range}")
-    mu_lo, mu_hi, sigma_lo, sigma_hi = map(float, ends)
+    for mu, sigma in zip(mu_range, sigma_range):
+        _check_mu_sigma(mu, sigma)
+    mu_lo, mu_hi = map(float, mu_range)
+    sigma_lo, sigma_hi = map(float, sigma_range)
     for steps in (steps_mu, steps_sigma):
         _integers(steps, "lattice step counts must be integers >= 2, got {}", 2, scalar=True)
     if not (mu_lo <= mu_hi and sigma_lo <= sigma_hi):
         raise DomainError("axis ranges must be nonempty (lo <= hi)")
-    if sigma_lo <= 0.0:
-        raise DomainError("sigma range must be strictly positive")
-    if not all(map(math.isfinite, (mu_lo, mu_hi, sigma_lo, sigma_hi))):
-        raise DomainError("axis range ends must be finite")
+    variant = _member(variant, AreVariant, "variant")
     mu_axis = np.linspace(mu_lo, mu_hi, steps_mu)
     sigma_axis = np.linspace(sigma_lo, sigma_hi, steps_sigma)
     sigmas = sigma_axis.tolist()

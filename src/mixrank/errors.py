@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by all modules, and the one rule for integer arguments."""
+"""Exception hierarchy, and the argument rules every module calls: integers, reals, enum members."""
+
+import numbers
 
 import numpy as np
 
@@ -18,6 +20,18 @@ def _integers(value, message: str, lo: int, hi: int = np.iinfo(np.intp).max, *, 
     if len(bad):
         raise DomainError(message.format(bad[0]))
     return np.intp(k) if scalar else k.astype(np.intp, copy=False)
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number; strings, None and bools are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _member(value, enum, what: str):
+    """``value`` if it is a member of ``enum``; its ``.value`` and other enums' members are not."""
+    if not isinstance(value, enum):
+        raise DomainError(f"{what} must be a {enum.__name__}, got {value!r}")
+    return value
 
 
 class InsufficientDataError(MixrankError, ValueError):

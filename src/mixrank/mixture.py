@@ -8,14 +8,13 @@ statistics as the mixing proportion moves away from the null.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, _integers
+from .errors import DomainError, _integers, _is_real, _member
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -58,13 +57,8 @@ class MixtureParams:
         return cls(theta, mu, math.sqrt(variance))
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a real number; strings, None and bools are not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _check_mu_sigma(mu: float, sigma: float) -> None:
-    """The one rule on a contaminant's (mu, sigma): both finite reals, sigma positive."""
+    """The one rule on a contaminant's or grid corner's (mu, sigma): finite reals, sigma > 0."""
     if not (_is_real(mu) and _is_real(sigma)):
         raise DomainError(f"mixture parameters must be real numbers, got {mu}, {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
@@ -163,7 +157,8 @@ class MeanFunctionVariant(Enum):
 
 def _xi_t_value(theta: float, mu: float, sigma: float, variant: MeanFunctionVariant) -> float:
     # Valid for theta slightly outside [0, 1]; needed by derivative checks.
-    denom_sq = _variance(theta, mu, sigma, between=variant is MeanFunctionVariant.EXACT)
+    exact = _member(variant, MeanFunctionVariant, "variant") is MeanFunctionVariant.EXACT
+    denom_sq = _variance(theta, mu, sigma, between=exact)
     if not 0.0 < denom_sq < math.inf:
         raise DomainError(f"mixture variance {denom_sq} leaves the positive double range")
     return theta * mu / math.sqrt(denom_sq)

@@ -46,7 +46,6 @@ simulated twice.
 
 import functools
 import math
-import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, SearchOverflowError
+from .errors import DomainError, InsufficientDataError, SearchOverflowError, _is_real, _member
 from .mixture import MixtureParams, sample as draw_sample
 from .rank_tests import (
     AUTO_EXACT_MAX_N,
@@ -113,10 +112,9 @@ class SimConfig:
     max_parallelism: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
+        if not _is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise DomainError(f"significance level must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.sidedness, Sidedness):
-            raise DomainError(f"sidedness must be a Sidedness, got {self.sidedness!r}")
+        _member(self.sidedness, Sidedness, "sidedness")
         for name, what in (
             ("nreps", "replication count"),
             ("master_seed", "master seed"),
@@ -357,6 +355,7 @@ def _simulate_cells(
     flight, so a lattice holds O(workers) futures however many blocks it
     has, and no cell waits for its own last block before the next starts.
     """
+    kinds = tuple(_member(kind, TestKind, "test kind") for kind in kinds)
     layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
     n_blocks = [-(-config.nreps // rows) for _, rows in layout]
 
@@ -408,10 +407,7 @@ def _simulate_rejections(
 
 def _integral(n, what: str) -> int:
     """``n`` as an int; 20.0 and np.int64(20) pass, and True, "20", 20.9, NaN and inf raise."""
-    # np.bool_ is no numbers.Real, but bool is.
-    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (
-        isinstance(n, int) or float(n).is_integer()
-    ):
+    if not _is_real(n) or not (isinstance(n, int) or float(n).is_integer()):
         raise DomainError(f"{what} must be an integer, got {n}")
     return int(n)
 
@@ -508,7 +504,7 @@ def _sample_size_searches(
     those that missed.  The two intervals never meet again, so no (cell, n)
     is simulated twice, and each search probes what it would probe alone.
     """
-    if not isinstance(target_power, numbers.Real) or not 0.0 < target_power < 1.0:
+    if not _is_real(target_power) or not 0.0 < target_power < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")

@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     TiesUnsupportedError,
     _integers,
+    _member,
 )
 
 EXACT_NULL_MAX_N = 60   # keeps the integer DP table comfortably exact
@@ -192,7 +193,7 @@ def _oriented(stat, mirror, sidedness: Sidedness):
         return mirror(stat)
     if sidedness is Sidedness.TWO_SIDED:
         return np.maximum(stat, mirror(stat))
-    raise DomainError(f"sidedness must be a Sidedness, got {sidedness!r}")
+    _member(sidedness, Sidedness, "sidedness")  # raises: every member has returned above
 
 
 def _sided_p(upper, stat, mirror, sidedness: Sidedness):
@@ -442,14 +443,10 @@ def wilcoxon_test(
     w_plus, n_eff, tie_term = _signed_rank(x)
     tied = tie_term > 0.0
 
-    if mode is WilcoxonMode.EXACT:
-        use_exact = True
-    elif mode is WilcoxonMode.NORMAL_APPROX:
-        use_exact = False
-    elif mode is WilcoxonMode.AUTO:
+    if mode is WilcoxonMode.AUTO:
         use_exact = not tied and n_eff <= AUTO_EXACT_MAX_N
     else:
-        raise DomainError(f"mode must be a WilcoxonMode, got {mode!r}")
+        use_exact = _member(mode, WilcoxonMode, "mode") is WilcoxonMode.EXACT
 
     if use_exact:
         if tied:
