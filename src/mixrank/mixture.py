@@ -109,8 +109,21 @@ def sample(params: MixtureParams, n: int, rng: np.random.Generator) -> np.ndarra
     :class:`DomainError`.
     """
     n = _integers(n, "sample size must be a positive integer, got {}", 1, scalar=True)
-    hit = np.flatnonzero(rng.random(n) < params.theta)
-    x = rng.standard_normal(n)
+    return _draw(params, n, rng)
+
+
+def _draw(params: MixtureParams, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """The draw of :func:`sample`, into ``out[:n]`` or, when ``out`` is None, new memory.
+
+    The uniforms fill the output first and the normals then overwrite them,
+    since the component of each value is known before any normal is drawn.
+    ``out=`` gives the generators' bits of a fresh array, so whatever the
+    output held before does not matter.  ``n`` is not checked here;
+    :func:`sample` checks it.
+    """
+    x = np.empty(n) if out is None else out[:n]
+    hit = np.flatnonzero(rng.random(out=x) < params.theta)
+    rng.standard_normal(out=x)
     with np.errstate(over="raise"):
         try:
             x[hit] = params.mu + params.sigma * x[hit]

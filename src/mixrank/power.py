@@ -9,15 +9,18 @@ proportion schedule shrinking toward the null.
 Reproducibility contract: a cell's replications are cut into blocks of
 ``_block_rows(n)`` rows, a count that depends on the sample size n alone.
 Each block gets one SFC64 stream, one batched draw, one evaluation and one
-pool task, so every sample depends only on (master seed, simulation cell,
+task, so every sample depends only on (master seed, simulation cell,
 block index, replication count).  Per-cell results are integer rejection
 counts, so output is bit-identical for any worker count.  A block holds at
-most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), or one row where a
-row alone holds more (n > 2**17).
-The cells of a power-ratio surface share one pool: their blocks are
-submitted in lattice order with at most two per worker in flight, so no cell
-ends at a barrier and a surface holds a bounded number of blocks however
-large its lattice.
+most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), drawn into a
+buffer that later blocks reuse, or one row in fresh memory where a row alone
+holds more (n > 2**17).  The evaluators see a block read-only, so none can
+write into a buffer another block will read.
+With more than one worker, the cells of a power-ratio surface share one
+pool: their blocks are submitted in lattice order with at most two per
+worker in flight, so no cell ends at a barrier and a surface holds a
+bounded number of blocks however large its lattice.  One worker runs the
+blocks in order on the calling thread.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 The signed-rank evaluator decides every tie-free row by the p-value the
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SearchOverflowError, _is_real, _member
-from .mixture import MixtureParams, sample as draw_sample
+from .mixture import MixtureParams, _draw as draw_sample
 from .rank_tests import (
     AUTO_EXACT_MAX_N,
     Sidedness,
@@ -76,8 +79,14 @@ _BLOCK_ROWS = 4096  # most replications per block
 # temporary, the deviations from the row means.  The signed-rank evaluator
 # holds a key and the differences of adjacent keys: half a block each on
 # 32-bit keys, a block each on 64-bit keys.  It binds above n = 32, and above
-# n = 2**16 a block is one row.
+# n = 2**16 a block is one row.  A block is drawn into a reused buffer of this
+# many doubles, so its memory is not returned to the system and faulted back
+# in by the next block; a row longer than that (n > 2**17) is drawn into
+# fresh memory.
 _BLOCK_ELEMENTS = 1 << 17
+# Block buffers not in use.  A running block holds one, so there are never
+# more than the blocks that have run at once.
+_FREE_BUFFERS: list[np.ndarray] = []
 # Largest n whose signed-rank rows are ranked on 32-bit keys first.  Rows
 # with a float32 zero or tie (coarse rows) are ranked again on 64-bit keys.
 # Under the benchmark mixtures (C7's, and C8's lattice at theta 0.2-0.8) the
@@ -344,6 +353,14 @@ def _simulation_cell_key(params: MixtureParams, n: int) -> int:
     return stream_key("power-cell", params.theta, params.mu, params.sigma, n)
 
 
+def _take_buffer() -> np.ndarray:
+    """A free block buffer of ``_BLOCK_ELEMENTS`` doubles, or a new one when none is free."""
+    try:
+        return _FREE_BUFFERS.pop()  # one atomic step, so two threads never share one
+    except IndexError:
+        return np.empty(_BLOCK_ELEMENTS)
+
+
 def _simulate_cells(
     cells: list[tuple[MixtureParams, int]],
     config: SimConfig,
@@ -354,6 +371,9 @@ def _simulate_cells(
     Blocks are submitted in cell order with at most two per worker in
     flight, so a lattice holds O(workers) futures however many blocks it
     has, and no cell waits for its own last block before the next starts.
+    One worker runs the blocks in order on the calling thread instead: a
+    pool thread gets its own glibc malloc arena, which keeps its blocks'
+    freed memory beside the memory the calling thread keeps.
     """
     kinds = tuple(_member(kind, TestKind, "test kind") for kind in kinds)
     layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
@@ -362,23 +382,37 @@ def _simulate_cells(
     def run_block(params: MixtureParams, n: int, cell: int, rows: int, block: int) -> np.ndarray:
         rng = replication_rng(config.master_seed, cell, block)
         count = min(rows, config.nreps - block * rows)
-        x = draw_sample(params, count * n, rng).reshape(count, n)
-        return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
+        buffer = _take_buffer() if count * n <= _BLOCK_ELEMENTS else None
+        try:
+            x = draw_sample(params, count * n, rng, buffer).reshape(count, n)
+            x.flags.writeable = False  # the next block draws into the same memory
+            return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
+        finally:
+            if buffer is not None:
+                _FREE_BUFFERS.append(buffer)
 
-    # Every worker count takes this path; the counts are integers summed per
-    # cell, so they cannot depend on it.
+    # The counts are integers summed per cell, so they cannot depend on the
+    # worker count or on the order in which blocks finish.
     totals = [0] * len(cells)
     workers = min(config.max_parallelism, sum(n_blocks))
-    in_flight = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, ((params, n), (cell, rows)) in enumerate(zip(cells, layout)):
-            for block in range(n_blocks[i]):
+    blocks = (
+        (i, (params, n, cell, rows, block))
+        for i, ((params, n), (cell, rows)) in enumerate(zip(cells, layout))
+        for block in range(n_blocks[i])
+    )
+    if workers == 1:
+        for i, task in blocks:
+            totals[i] += run_block(*task)
+    else:
+        in_flight = deque()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for i, task in blocks:
                 if len(in_flight) == 2 * workers:
                     j, done = in_flight.popleft()
                     totals[j] += done.result()
-                in_flight.append((i, pool.submit(run_block, params, n, cell, rows, block)))
-        for j, done in in_flight:
-            totals[j] += done.result()
+                in_flight.append((i, pool.submit(run_block, *task)))
+            for j, done in in_flight:
+                totals[j] += done.result()
 
     results = []
     for cell_totals in totals:

@@ -13,6 +13,7 @@ from mixrank.errors import DomainError
 from mixrank.mixture import (
     MeanFunctionVariant,
     MixtureParams,
+    _draw,
     _xi_t_value,
     _xi_w_value,
     cdf,
@@ -202,6 +203,8 @@ def test_sample_refuses_a_contaminant_whose_draws_overflow(params):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match="contaminant"):
             sample(params, 1000, seeded_rng(7, "wide"))
+        with pytest.raises(DomainError, match="contaminant"):
+            _draw(params, 1000, seeded_rng(7, "wide"), np.empty(2000))
         # Just inside the double range, the draws stay finite.
         narrower = MixtureParams(params.theta, params.mu / 10.0, params.sigma / 10.0)
         assert np.isfinite(sample(narrower, 1000, seeded_rng(7, "wide"))).all()
@@ -229,9 +232,13 @@ def _where_draw(params, rng, shape):
 def test_sample_bit_identical_to_where_select(theta, mu, sigma):
     p = MixtureParams(theta, mu, sigma)
     for rows in (1, 6):
-        got = sample(p, rows * 37, seeded_rng(3, "bits")).reshape(rows, 37)
         want = _where_draw(p, seeded_rng(3, "bits"), (rows, 37))
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        buffer = np.full(300, np.nan)  # a buffer's old contents must not reach the draw
+        buffered = _draw(p, rows * 37, seeded_rng(3, "bits"), buffer)
+        assert np.shares_memory(buffered, buffer)
+        for got in (sample(p, rows * 37, seeded_rng(3, "bits")), buffered):
+            got = got.reshape(rows, 37)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_null_mean_lln():

@@ -5,6 +5,8 @@ acceptance suite; these tests keep replication budgets small.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -251,6 +253,21 @@ def test_surface_builds_one_pool_sized_to_its_blocks(monkeypatch):
     assert built == [3]
 
 
+def test_one_worker_runs_blocks_on_the_calling_thread(monkeypatch):
+    # A pool thread's malloc arena would keep the blocks' memory apart.
+    built, _ = _recording_pool(monkeypatch)
+    evaluate_t = power._EVALUATORS[TestKind.T]
+    threads = set()
+
+    def record(x, alpha, sidedness):
+        threads.add(threading.get_ident())
+        return evaluate_t(x, alpha, sidedness)
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    power_ratio_surface(1.0, 1.0, [0.2, 0.5], [20, 300], config(nreps=2000))
+    assert built == [] and threads == {threading.get_ident()}
+
+
 def test_surface_keeps_a_bounded_window_of_blocks(monkeypatch):
     built, unfinished = _recording_pool(monkeypatch)
     n = 2**16 + 1  # one row per block: 20 blocks per cell
@@ -412,6 +429,49 @@ def test_evaluator_sees_whole_blocks_then_the_rest(monkeypatch):
         rows_seen.clear()
         power._simulate_rejections(params, n, config(nreps=k * rows + rest), tuple(TestKind))
         assert rows_seen == [rows] * k + [rest]
+
+
+@pytest.mark.parametrize("n, nreps", [(20, 100), (2**17 + 1, 1)], ids=["buffer", "one-row"])
+def test_evaluators_cannot_write_to_their_block(n, nreps, monkeypatch):
+    # A reused buffer written by one evaluator would feed the next block.
+    def scribble(x, alpha, sidedness):
+        x[0, 0] = 0.0
+        return 0, 0
+
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, scribble)
+    with pytest.raises(ValueError, match="read-only"):
+        estimate_power(TestKind.T, MixtureParams(0.4, 1.0, 1.0), n, config(nreps=nreps))
+
+
+def test_reused_buffers_leak_nothing_between_cells(monkeypatch):
+    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
+    params = MixtureParams(0.4, 1.0, 1.0)
+    cfg = config(nreps=2 * power._block_rows(100) + 17)  # ends in a partial block
+    first = power._simulate_rejections(params, 100, cfg, tuple(TestKind))
+    assert power._block_rows(2**17 + 1) == 1  # a row longer than a buffer
+    power._simulate_rejections(params, 2**17 + 1, config(nreps=2), tuple(TestKind))
+    power_ratio_surface(2.0, 0.5, [0.3, 0.9], [7, 60], config(nreps=5000, max_parallelism=2))
+    assert power._simulate_rejections(params, 100, cfg, tuple(TestKind)) == first
+    buffers = power._FREE_BUFFERS
+    assert 1 <= len(buffers) <= 2
+    assert all(b.dtype == np.float64 and b.shape == (power._BLOCK_ELEMENTS,) for b in buffers)
+
+
+def test_buffers_are_never_shared_between_threads(monkeypatch):
+    # More workers than cores, switching threads as often as possible: two
+    # blocks drawing into one buffer would change the counts.
+    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
+    cells = [(MixtureParams(theta, 1.0, 1.0), n) for theta in (0.2, 0.6) for n in (20, 300)]
+    serial = power._simulate_cells(cells, config(nreps=8000), tuple(TestKind))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = power._simulate_cells(cells, config(nreps=8000, max_parallelism=8), tuple(TestKind))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+    buffers = power._FREE_BUFFERS
+    assert len({id(b) for b in buffers}) == len(buffers) <= 8
 
 
 def test_one_block_cell_peak_memory():
