@@ -16,11 +16,10 @@ most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), drawn into a
 buffer that later blocks reuse, or one row in fresh memory where a row alone
 holds more (n > 2**17).  The evaluators see a block read-only, so none can
 write into a buffer another block will read.
-With more than one worker, the cells of a power-ratio surface share one
-pool: their blocks are submitted in lattice order with at most two per
-worker in flight, so no cell ends at a barrier and a surface holds a
-bounded number of blocks however large its lattice.  One worker runs the
-blocks in order on the calling thread.
+The calling thread and ``max_parallelism - 1`` helper threads take the
+blocks of every cell of a call in lattice order, one block at a time each,
+so no cell ends at a barrier, a surface holds at most one block per worker
+however large its lattice, and one worker starts no thread.
 Both tests are always evaluated on the same simulated samples, which pairs
 the comparison and sharply reduces the Monte Carlo noise of power ratios.
 The signed-rank evaluator decides every tie-free row by the p-value the
@@ -49,8 +48,7 @@ simulated twice.
 
 import functools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -84,8 +82,9 @@ _BLOCK_ROWS = 4096  # most replications per block
 # in by the next block; a row longer than that (n > 2**17) is drawn into
 # fresh memory.
 _BLOCK_ELEMENTS = 1 << 17
-# Block buffers not in use.  A running block holds one, so there are never
-# more than the blocks that have run at once.
+# Block buffers not in use.  A running block holds one and each worker runs
+# one block at a time, so there are never more than the workers of the
+# widest call so far.
 _FREE_BUFFERS: list[np.ndarray] = []
 # Largest n whose signed-rank rows are ranked on 32-bit keys first.  Rows
 # with a float32 zero or tie (coarse rows) are ranked again on 64-bit keys.
@@ -111,7 +110,9 @@ class SimConfig:
 
     ``sidedness`` defaults to the one-sided greater alternative, appropriate
     when the contaminating component has positive mean (both statistics
-    shift upward); it is configurable everywhere.
+    shift upward); it is configurable everywhere.  ``max_parallelism`` is
+    the most threads that run Monte Carlo blocks, the calling thread among
+    them: 1 starts no thread, and k starts at most k - 1 helper threads.
     """
 
     alpha: float = 0.05
@@ -366,14 +367,15 @@ def _simulate_cells(
     config: SimConfig,
     kinds: tuple[TestKind, ...],
 ) -> list[dict[TestKind, PowerEstimate]]:
-    """Estimates of every (params, n) cell, all of their blocks run on one pool.
+    """Estimates of every (params, n) cell, all of their blocks run by one set of workers.
 
-    Blocks are submitted in cell order with at most two per worker in
-    flight, so a lattice holds O(workers) futures however many blocks it
-    has, and no cell waits for its own last block before the next starts.
-    One worker runs the blocks in order on the calling thread instead: a
-    pool thread gets its own glibc malloc arena, which keeps its blocks'
-    freed memory beside the memory the calling thread keeps.
+    The calling thread and up to ``max_parallelism - 1`` helper threads, no
+    more workers than blocks, each take the next block in cell order, so at
+    most one block per worker is between draw and result and no cell waits
+    for its own last block.  The calling thread works beside its helpers
+    because each helper thread gets its own glibc malloc arena, which keeps
+    its blocks' freed memory apart.  The first block to raise stops the other
+    workers after their current blocks, and its exception is raised here.
     """
     kinds = tuple(_member(kind, TestKind, "test kind") for kind in kinds)
     layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
@@ -400,19 +402,32 @@ def _simulate_cells(
         for i, ((params, n), (cell, rows)) in enumerate(zip(cells, layout))
         for block in range(n_blocks[i])
     )
-    if workers == 1:
-        for i, task in blocks:
-            totals[i] += run_block(*task)
-    else:
-        in_flight = deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, task in blocks:
-                if len(in_flight) == 2 * workers:
-                    j, done = in_flight.popleft()
-                    totals[j] += done.result()
-                in_flight.append((i, pool.submit(run_block, *task)))
-            for j, done in in_flight:
-                totals[j] += done.result()
+    lock = threading.Lock()  # guards ``blocks``, ``totals`` and ``failures``
+    failures = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    task = None if failures else next(blocks, None)
+                if task is None:
+                    return
+                i, args = task
+                counts = run_block(*args)
+                with lock:
+                    totals[i] += counts
+        except BaseException as exc:  # re-raised on the calling thread
+            with lock:
+                failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
 
     results = []
     for cell_totals in totals:

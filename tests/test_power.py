@@ -7,6 +7,7 @@ acceptance suite; these tests keep replication budgets small.
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -226,54 +227,101 @@ def test_surface_rows_equal_per_cell_estimates(thetas, ns, nreps, max_parallelis
         assert (r.power_w, r.se_w, r.power_t, r.se_t) == (w.power, w.mc_se, t.power, t.mc_se)
 
 
-def _recording_pool(monkeypatch):
-    """Pools that record their size, and their unfinished futures at each submit."""
-    built, unfinished = [], []
+def _recording_blocks(monkeypatch, hold=0.0):
+    """Record, per block of a surface, its thread, the threads alive and the live blocks.
 
-    class Pool(power.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            built.append(max_workers)
-            self.futures = []
-            super().__init__(max_workers=max_workers, **kwargs)
+    A block is live from its draw until its t evaluation, the last of a
+    surface's two, returns.  Each t evaluation first waits ``hold`` seconds,
+    so that every worker gets a share of the blocks.
+    """
+    draw, evaluate_t = power.draw_sample, power._EVALUATORS[TestKind.T]
+    lock = threading.Lock()
+    live = [0]
+    seen = {"threads": [], "alive": [], "live": []}
 
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            self.futures.append(future)
-            unfinished.append(sum(not f.done() for f in self.futures))
-            return future
+    def recording_draw(*args):
+        with lock:
+            live[0] += 1
+            seen["live"].append(live[0])
+        return draw(*args)
 
-    monkeypatch.setattr(power, "ThreadPoolExecutor", Pool)
-    return built, unfinished
+    def recording_t(x, alpha, sidedness):
+        seen["threads"].append(threading.get_ident())
+        seen["alive"].append(threading.active_count())
+        time.sleep(hold)
+        try:
+            return evaluate_t(x, alpha, sidedness)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(power, "draw_sample", recording_draw)
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, recording_t)
+    return seen
 
 
-def test_surface_builds_one_pool_sized_to_its_blocks(monkeypatch):
-    built, _ = _recording_pool(monkeypatch)
-    # Three cells of one block each: no more than three threads may start.
+def test_surface_starts_fewer_threads_than_blocks(monkeypatch):
+    seen = _recording_blocks(monkeypatch)
+    alive = threading.active_count()
+    # Three cells of one block each: three workers at most, so two threads.
     power_ratio_surface(1.0, 1.0, [0.2, 0.5, 0.8], [20], config(nreps=100, max_parallelism=10_000))
-    assert built == [3]
+    assert len(seen["threads"]) == 3 and max(seen["alive"]) <= alive + 2
+    assert threading.active_count() == alive
 
 
 def test_one_worker_runs_blocks_on_the_calling_thread(monkeypatch):
-    # A pool thread's malloc arena would keep the blocks' memory apart.
-    built, _ = _recording_pool(monkeypatch)
-    evaluate_t = power._EVALUATORS[TestKind.T]
-    threads = set()
-
-    def record(x, alpha, sidedness):
-        threads.add(threading.get_ident())
-        return evaluate_t(x, alpha, sidedness)
-
-    monkeypatch.setitem(power._EVALUATORS, TestKind.T, record)
+    # A helper thread's malloc arena would keep the blocks' memory apart.
+    seen = _recording_blocks(monkeypatch)
+    alive = threading.active_count()
     power_ratio_surface(1.0, 1.0, [0.2, 0.5], [20, 300], config(nreps=2000))
-    assert built == [] and threads == {threading.get_ident()}
+    assert set(seen["threads"]) == {threading.get_ident()} and set(seen["alive"]) == {alive}
 
 
-def test_surface_keeps_a_bounded_window_of_blocks(monkeypatch):
-    built, unfinished = _recording_pool(monkeypatch)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_surface_keeps_a_bounded_window_of_blocks(workers, monkeypatch):
+    seen = _recording_blocks(monkeypatch, hold=0.002)
     n = 2**16 + 1  # one row per block: 20 blocks per cell
-    power_ratio_surface(1.0, 1.0, [0.2, 0.5, 0.8], [n], config(nreps=20, max_parallelism=2))
-    assert len(unfinished) == 60 and max(unfinished) <= 2 * 2
-    assert built == [2]
+    power_ratio_surface(1.0, 1.0, [0.2, 0.5, 0.8], [n], config(nreps=20, max_parallelism=workers))
+    assert len(seen["live"]) == 60 and max(seen["live"]) <= workers
+    threads = set(seen["threads"])
+    assert threading.get_ident() in threads and len(threads) <= workers
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("on_calling_thread", [False, True], ids=["helper", "caller"])
+def test_a_failing_block_stops_every_worker(workers, on_calling_thread, monkeypatch):
+    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
+    take_buffer, taken = power._take_buffer, set()
+
+    def recording_take():
+        buffer = take_buffer()
+        taken.add(id(buffer))
+        return buffer
+
+    caller, alive = threading.get_ident(), threading.active_count()
+    first, failed, started = threading.Lock(), threading.Event(), []
+
+    def evaluate(x, alpha, sidedness):
+        started.append(threading.get_ident())
+        if (started[-1] == caller) == on_calling_thread and first.acquire(blocking=False):
+            failed.set()
+            raise RuntimeError("block failed")
+        # Every other block runs until well after the failure, so a worker
+        # that went on to another block would show in ``started``.
+        failed.wait(timeout=2.0)
+        time.sleep(0.2)
+        return 0, 0
+
+    monkeypatch.setattr(power, "_take_buffer", recording_take)
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, evaluate)
+    cells = [(MixtureParams(0.4, 1.0, 1.0), 100)]
+    cfg = config(nreps=20 * power._block_rows(100), max_parallelism=workers)
+    with pytest.raises(RuntimeError, match="block failed"):
+        power._simulate_cells(cells, cfg, (TestKind.T,))
+    assert failed.is_set() and threading.active_count() == alive
+    assert len(started) == len(set(started)) <= workers
+    buffers = {id(b) for b in power._FREE_BUFFERS}
+    assert buffers == taken and len(buffers) == len(power._FREE_BUFFERS) <= workers
 
 
 def test_power_ratio_surface_validation(monkeypatch):
@@ -736,10 +784,12 @@ def test_t_power_does_not_depend_on_scale():
     assert wide.power > 0.0
 
 
-def test_power_refuses_a_contaminant_whose_draws_overflow():
+@pytest.mark.parametrize("max_parallelism", [1, 2])
+def test_power_refuses_a_contaminant_whose_draws_overflow(max_parallelism):
     # Infinite draws once gave a NaN t statistic, which neither rejected nor
-    # counted as degenerate, so the power read low without a sign.
-    cfg = config(nreps=2000, master_seed=1)
+    # counted as degenerate, so the power read low without a sign.  Three
+    # blocks, so that two workers both run one.
+    cfg = config(nreps=3 * power._block_rows(20), master_seed=1, max_parallelism=max_parallelism)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for kind in TestKind:
