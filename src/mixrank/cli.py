@@ -267,10 +267,11 @@ def cmd_null_dist(args: argparse.Namespace) -> None:
     pmf = exact_null_pmf(args.n)
     total, top = 1 << pmf.n, pmf.support_max
     # count / total is NullPmf.probability's correctly rounded quotient, in
-    # _fmt's format.  The counts are exactly symmetric (counts[k] ==
-    # counts[top - k]), so only the cells for k <= top/2 are formatted and
-    # the upper half is their mirror image.
-    cells = [f"{count},{count / total:.9g}\n" for count in pmf.counts[: top // 2 + 1]]
+    # _fmt's format.  The table is exactly symmetric (table[k] ==
+    # table[top - k]), so only the cells for k <= top/2 are formatted, from
+    # Python ints that live for this call, and the upper half is their mirror
+    # image.
+    cells = [f"{count},{count / total:.9g}\n" for count in pmf.table[: top // 2 + 1].tolist()]
     cells += cells[top - len(cells)::-1]
     rows = "".join([f"{k},{cell}" for k, cell in enumerate(cells)])
     _emit(args, "null-dist", "k,count,probability\n" + rows)

@@ -374,8 +374,9 @@ def _simulate_cells(
     most one block per worker is between draw and result and no cell waits
     for its own last block.  The calling thread works beside its helpers
     because each helper thread gets its own glibc malloc arena, which keeps
-    its blocks' freed memory apart.  The first block to raise stops the other
-    workers after their current blocks, and its exception is raised here.
+    its blocks' freed memory apart.  The first block to raise, or helper that
+    cannot start, stops the other workers after their current blocks; the
+    helpers are joined and that exception is raised here.
     """
     kinds = tuple(_member(kind, TestKind, "test kind") for kind in kinds)
     layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
@@ -420,9 +421,15 @@ def _simulate_cells(
             with lock:
                 failures.append(exc)
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+    except BaseException as exc:  # a thread that cannot start fails the call like a block
+        with lock:
+            failures.append(exc)
     work()
     for helper in helpers:
         helper.join()

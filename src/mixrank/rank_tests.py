@@ -314,25 +314,55 @@ def identity_check(sample) -> bool:
 # exact null distribution of W+
 # ---------------------------------------------------------------------------
 
+def _null_n(n) -> int:
+    """``n`` as an int, if it is an integer (no bool) in 1..``EXACT_NULL_MAX_N``."""
+    message = f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {{}}"
+    return int(_integers(n, message, 1, EXACT_NULL_MAX_N, scalar=True))
+
+
 class NullPmf:
     """Exact null law of W+ for a continuous sample symmetric about zero.
 
-    ``counts[k]`` is the number of the 2^n equiprobable sign patterns whose
-    rank sum equals k, held as a tuple of Python ints; the support is
-    0..n(n+1)/2.  ``counts`` may be any integer sequence or int64 array,
-    such as the one :func:`exact_null_pmf` builds.  Instances are immutable
-    and safe to share across threads.
+    ``table[k]`` is the number of the 2^n equiprobable sign patterns whose
+    rank sum equals k, held once as the instance's own read-only int64
+    array; the support is 0..n(n+1)/2.  ``counts`` may be any integer
+    sequence or integer array, such as the one :func:`exact_null_pmf`
+    builds, and must be such a table: n(n+1)/2 + 1 counts in 0..2^n,
+    summing to 2^n and symmetric about n(n+1)/4.  The ``counts`` attribute
+    is the same table as a tuple of Python ints, built on first access and
+    kept; lookups, moments and ``null-dist`` read ``table`` and never build
+    it.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "counts", "_cdf")
+    __slots__ = ("n", "table", "_counts", "_cdf")
 
     def __init__(self, n: int, counts):
-        self.n = int(n)
-        table = np.asarray(counts, dtype=np.int64)
-        self.counts = tuple(table.tolist())
-        # Exact int64 prefix sums first (they reach 2^n <= 2^60), then one
-        # division by a power of two, so each float is correctly rounded.
-        self._cdf = np.cumsum(table) / (1 << self.n)
+        self.n = _null_n(n)
+        total = 1 << self.n
+        # The message names no value: for a table of floats that would be the whole table.
+        message = f"the counts of a null pmf must be integers in 0..2^{self.n}"
+        table = np.array(_integers(counts, message, 0, total), dtype=np.int64)  # a copy no caller can change
+        if table.shape != (self.support_max + 1,):
+            raise DomainError(f"a null pmf for n = {self.n} needs {self.support_max + 1} counts")
+        # Exact int64 prefix sums (each count is at most 2^n <= 2^60, so a sum
+        # past int64 wraps negative), then one division by a power of two, so
+        # each float is correctly rounded.
+        prefix = np.cumsum(table)
+        if prefix[-1] != total or prefix.min() < 0:
+            raise DomainError(f"the counts of a null pmf must sum to 2^{self.n}")
+        if not np.array_equal(table, table[::-1]):
+            raise DomainError("the counts of a null pmf must be symmetric")
+        table.flags.writeable = False
+        self.table = table
+        self._counts = None
+        self._cdf = prefix / total
+
+    @property
+    def counts(self) -> tuple:
+        """The table as a tuple of Python ints; every thread that builds it builds an equal one."""
+        if self._counts is None:
+            self._counts = tuple(self.table.tolist())
+        return self._counts
 
     @property
     def support_max(self) -> int:
@@ -345,11 +375,11 @@ class NullPmf:
 
     def mass(self, k: int) -> Fraction:
         """Exact probability P(W+ = k) as a rational number."""
-        return Fraction(self.counts[self._support_index(k, scalar=True)], 1 << self.n)
+        return Fraction(int(self.table[self._support_index(k, scalar=True)]), 1 << self.n)
 
     def probability(self, k: int) -> float:
         """P(W+ = k) as a correctly rounded float."""
-        return self.counts[self._support_index(k, scalar=True)] / (1 << self.n)
+        return int(self.table[self._support_index(k, scalar=True)]) / (1 << self.n)
 
     def cdf(self, k):
         """P(W+ <= k); accepts integer scalars or arrays inside the support."""
@@ -362,13 +392,15 @@ class NullPmf:
         """
         return self._cdf[self.support_max - self._support_index(k)]
 
+    # The moments sum k * count and k * k * count, which pass int64's range at
+    # n = 60, over a transient list of Python ints.
     def exact_mean(self) -> Fraction:
-        total = sum(k * c for k, c in enumerate(self.counts))
+        total = sum(k * c for k, c in enumerate(self.table.tolist()))
         return Fraction(total, 1 << self.n)
 
     def exact_variance(self) -> Fraction:
         mean = self.exact_mean()
-        second = Fraction(sum(k * k * c for k, c in enumerate(self.counts)), 1 << self.n)
+        second = Fraction(sum(k * k * c for k, c in enumerate(self.table.tolist())), 1 << self.n)
         return second - mean * mean
 
 
@@ -384,8 +416,7 @@ def exact_null_pmf(n: int) -> NullPmf:
     table's mean and variance recover n(n+1)/4 and n(n+1)(2n+1)/24 as
     rationals.
     """
-    message = f"exact null pmf requires 1 <= n <= {EXACT_NULL_MAX_N}, got {{}}"
-    n = int(_integers(n, message, 1, EXACT_NULL_MAX_N, scalar=True))
+    n = _null_n(n)
     with _pmf_lock:
         pmf = _pmf_cache.get(n)
         if pmf is None:

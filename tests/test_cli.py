@@ -504,6 +504,18 @@ def test_null_dist_renders_every_row_of_every_table(capsys, monkeypatch):
         assert len(rank_tests._pmf_cache) == 60
 
 
+def test_null_dist_never_builds_python_counts(tmp_path, monkeypatch):
+    # null-dist renders from the int64 table, so a cached table never gains
+    # a Python int per count.
+    monkeypatch.setattr(rank_tests, "_pmf_cache", {})
+    read = []
+    monkeypatch.setattr(rank_tests.NullPmf, "counts", property(lambda pmf: read.append(pmf.n)))
+    out = tmp_path / "pmf.csv"
+    for n in (1, 2, 25, 60, 60):
+        assert main(["null-dist", "--n", str(n), "--out", str(out)]) == 0
+    assert read == []
+
+
 def test_null_dist_out_of_range(capsys):
     code, _, err = run_cli(capsys, "null-dist", "--n", "61")
     assert code == 2

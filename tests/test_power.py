@@ -324,6 +324,36 @@ def test_a_failing_block_stops_every_worker(workers, on_calling_thread, monkeypa
     assert buffers == taken and len(buffers) == len(power._FREE_BUFFERS) <= workers
 
 
+def test_a_helper_that_cannot_start_stops_the_ones_started(monkeypatch):
+    # The second helper's start fails, as it does when the process is out of
+    # threads; the first helper has started by then and runs slow blocks.
+    start, calls, started = threading.Thread.start, [], []
+
+    def failing_start(thread):
+        calls.append(thread)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def evaluate(x, alpha, sidedness):
+        started.append(threading.get_ident())
+        time.sleep(0.05)
+        return 0, 0
+
+    alive = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    monkeypatch.setitem(power._EVALUATORS, TestKind.T, evaluate)
+    cells = [(MixtureParams(0.4, 1.0, 1.0), 100)]
+    cfg = config(nreps=200_000, max_parallelism=4)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        power._simulate_cells(cells, cfg, (TestKind.T,))
+    assert len(calls) == 2 and threading.active_count() == alive
+    # Only the first helper ran a block, and none after the failure.
+    blocks = len(started)
+    time.sleep(0.2)
+    assert len(started) == blocks <= 1
+
+
 def test_power_ratio_surface_validation(monkeypatch):
     with pytest.raises(DomainError):
         power_ratio_surface(1.0, 1.0, [], [20], config())

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixrank import rank_tests
 from mixrank.errors import (
     DegenerateSampleError,
     DomainError,
@@ -337,6 +339,8 @@ def test_null_pmf_takes_any_integer_table(n):
     ]
     for pmf in built:
         assert pmf.counts == tuple(counts)
+        assert pmf.table.dtype == np.int64 and not pmf.table.flags.writeable
+        assert pmf.table.tolist() == list(pmf.counts)
         # At n = 60 the terms k * k * count of the second moment pass int64's
         # range, so exact_variance is exact only over Python ints.
         assert all(type(c) is int for c in pmf.counts)
@@ -344,6 +348,55 @@ def test_null_pmf_takes_any_integer_table(n):
         assert pmf.exact_variance() == Fraction(n * (n + 1) * (2 * n + 1), 24)
         for k in (0, 1, pmf.support_max // 2, pmf.support_max):
             assert pmf.mass(k) == Fraction(counts[k], 1 << n)
+
+
+def test_cold_null_tables_hold_each_count_once(monkeypatch):
+    # Each table keeps its int64 counts and float CDF, 16 bytes an entry and
+    # 0.58 MiB for n = 1..60; a Python int per count as well took 1.65 MiB.
+    monkeypatch.setattr(rank_tests, "_pmf_cache", {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 61):
+            exact_null_pmf(n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rank_tests._pmf_cache) == 60
+    assert held < 1 << 20
+
+
+def test_null_pmf_refuses_a_malformed_table():
+    good = [1, 1, 1, 2, 1, 1, 1]
+    for n, counts in [
+        (3, [1, 1]),                          # too short for n = 3
+        (3, good + [0]),                      # too long
+        (3, [[1, 1, 1, 2, 1, 1, 1]]),         # two-dimensional
+        (3, [2, 1, 1, 4, 1, 1, 2]),           # sums to 12, not 2^3
+        (3, [2, 1, 1, 2, 1, 1, 0]),           # not symmetric
+        (3, [2, 1, 1, 2, 1, 1, -1]),          # a negative count
+        (3, [1, 1, 1.5, 2, 1.5, 1, 1]),       # a fractional count
+        (3, [1, 1, 1, 2.0, 1, 1, 1]),         # a float, though integral
+        (3, [True] * 7),                      # bools
+        (3, [1, 1, 1, 2**70, 1, 1, 1]),       # past int64
+        (3, [1, 1, 1, 9, 1, 1, 1]),           # a count above 2^n
+        (3, []),
+        (3.9, good),
+        (True, [1, 1]),
+        (0, [1]),
+        (61, [1]),
+        ("3", good),
+    ]:
+        with pytest.raises(DomainError):
+            NullPmf(n, counts)
+    # Sixteen counts of 2^60 and the rest summing to 2^60 wrap int64 back to 2^60.
+    n = 60
+    table = np.zeros(n * (n + 1) // 2 + 1, dtype=np.int64)
+    table[:8] = table[-8:] = 1 << 60
+    table[915] = 1 << 60
+    with pytest.raises(DomainError, match="sum to 2\\^60"):
+        NullPmf(n, table)
+    assert NullPmf(np.int64(3), np.array(good, dtype=np.uint8)).counts == tuple(good)
 
 
 def test_exact_null_pmf_domain():
