@@ -34,6 +34,7 @@ from .errors import (
 )
 from .mixture import MixtureParams
 from .power import (
+    DEFAULT_N_CAP,
     SimConfig,
     TestKind,
     empirical_are,
@@ -111,13 +112,9 @@ def _write_output(path: str, payload: str, subcommand: str, args: argparse.Names
     out = Path(path)
     manifest = {
         "subcommand": subcommand,
-        "parameters": {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in ("func",) and not key.startswith("_")
-        },
-        "master_seed": int(getattr(args, "seed", 0) or 0),
-        "parallelism": int(getattr(args, "threads", 1) or 1),
+        "parameters": {key: value for key, value in vars(args).items() if key != "func"},
+        "master_seed": getattr(args, "seed", SimConfig.master_seed),
+        "parallelism": getattr(args, "threads", SimConfig.max_parallelism),
         "tool_version": __version__,
         "output_checksum": "sha256:" + hashlib.sha256(data).hexdigest(),
     }
@@ -129,7 +126,7 @@ def _write_output(path: str, payload: str, subcommand: str, args: argparse.Names
 
 
 def _emit(args: argparse.Namespace, subcommand: str, payload: str) -> None:
-    if getattr(args, "out", None):
+    if args.out is not None:
         _write_output(args.out, payload, subcommand, args)
     else:
         sys.stdout.write(payload)
@@ -229,7 +226,7 @@ def cmd_emp_are(args: argparse.Namespace) -> None:
 
 def _read_data_file(path: str) -> list[float]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataFileError(f"cannot read data file {path}: {exc}") from exc
     values = []
@@ -238,6 +235,8 @@ def _read_data_file(path: str) -> list[float]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
+            if "_" in stripped:  # float() reads Python's digit grouping: 1_0 as 10
+                raise ValueError(stripped)
             value = float(stripped)
         except ValueError:
             raise DataFileError(f"{path}: unparsable value at line {lineno}: {stripped!r}")
@@ -281,14 +280,14 @@ def cmd_null_dist(args: argparse.Namespace) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    sub.add_argument(
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, default=SimConfig.alpha, help="significance level")
+    p.add_argument(
         "--sided", choices=sorted(_SIDEDNESS), default="greater", help="alternative direction"
     )
-    sub.add_argument("--nreps", type=int, default=10_000, help="Monte Carlo replications")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--nreps", type=int, default=SimConfig.nreps, help="Monte Carlo replications")
+    p.add_argument("--seed", type=int, default=SimConfig.master_seed, help="master seed")
+    p.add_argument("--threads", type=int, default=SimConfig.max_parallelism, help="worker threads")
 
 
 @functools.cache
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--power", type=float, required=True, help="target power")
     _add_sim_flags(p)
-    p.add_argument("--n-cap", type=int, default=1_000_000, help="largest n a search probes")
+    p.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, help="largest n a search probes")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_nmin)
 
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--power", type=float, required=True, help="target power")
     _add_sim_flags(p)
-    p.add_argument("--n-cap", type=int, default=1_000_000, help="largest n a search probes")
+    p.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, help="largest n a search probes")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_emp_are)
 

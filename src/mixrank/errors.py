@@ -1,4 +1,9 @@
-"""Exception hierarchy, and the argument rules every module calls: integers, reals, enum members."""
+"""Exception hierarchy, and the four argument rules every module calls.
+
+``_integers`` takes table sizes and indices: integer dtypes only, as they
+index arrays.  ``_integral`` takes Monte Carlo sizes, which only count, so
+20.0 passes as it always has.  ``_is_real`` takes reals, ``_member`` enums.
+"""
 
 import numbers
 
@@ -20,6 +25,15 @@ def _integers(value, message: str, lo: int, hi: int = np.iinfo(np.intp).max, *, 
     if len(bad):
         raise DomainError(message.format(bad[0]))
     return np.intp(k) if scalar else k.astype(np.intp, copy=False)
+
+
+def _integral(value, what: str, lo: int | None = None) -> int:
+    """``value`` as an int, at least ``lo``; 20.0 passes, True, "20", 20.9, NaN and inf raise."""
+    if not _is_real(value) or not (isinstance(value, int) or float(value).is_integer()):
+        raise DomainError(f"{what} must be an integer, got {value}")
+    if lo is not None and value < lo:
+        raise DomainError(f"{what} must be at least {lo}, got {int(value)}")
+    return int(value)
 
 
 def _is_real(x) -> bool:

@@ -55,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, SearchOverflowError, _is_real, _member
+from .errors import DomainError, InsufficientDataError, SearchOverflowError
+from .errors import _integral, _is_real, _member
 from .mixture import MixtureParams, _draw as draw_sample
 from .rank_tests import (
     AUTO_EXACT_MAX_N,
@@ -68,7 +69,7 @@ from .rank_tests import (
     _wilcoxon_p_normal,
     wilcoxon_test,
 )
-from .streams import replication_rng, stream_key
+from .streams import seeded_rng as replication_rng, stream_key
 
 _BLOCK_ROWS = 4096  # most replications per block
 # Sample values per block: 1 MiB of float64, so a block and an evaluator's
@@ -93,6 +94,7 @@ _FREE_BUFFERS: list[np.ndarray] = []
 # at 1000, 6% at 2048, 21% at 4096 and 60% at 8192.  The 32-bit pass plus
 # the second ranking was faster up to n ~ 5000 and slower from 6000.
 _KEY32_MAX_N = 4096
+DEFAULT_N_CAP = 1_000_000  # largest n a sample-size search probes by default
 _Z99 = 2.3263478740408408  # 99% standard normal quantile
 _NMIN_SLACK = 0.01
 
@@ -106,13 +108,13 @@ class TestKind(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs of one Monte Carlo experiment.
+    """Knobs of one Monte Carlo experiment; the CLI's Monte Carlo flags share its defaults.
 
     ``sidedness`` defaults to the one-sided greater alternative, appropriate
     when the contaminating component has positive mean (both statistics
-    shift upward); it is configurable everywhere.  ``max_parallelism`` is
-    the most threads that run Monte Carlo blocks, the calling thread among
-    them: 1 starts no thread, and k starts at most k - 1 helper threads.
+    shift upward).  ``max_parallelism`` is the most threads that run Monte
+    Carlo blocks, the calling thread among them: 1 starts no thread, and k
+    at most k - 1 helpers.  The integer fields also take a real such as 100.0.
     """
 
     alpha: float = 0.05
@@ -125,16 +127,12 @@ class SimConfig:
         if not _is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise DomainError(f"significance level must lie in (0, 1), got {self.alpha}")
         _member(self.sidedness, Sidedness, "sidedness")
-        for name, what in (
-            ("nreps", "replication count"),
-            ("master_seed", "master seed"),
-            ("max_parallelism", "parallelism"),
+        for name, what, lo in (
+            ("nreps", "replication count", 1),
+            ("master_seed", "master seed", None),
+            ("max_parallelism", "parallelism", 1),
         ):
-            object.__setattr__(self, name, _integral(getattr(self, name), what))
-        if self.nreps < 1:
-            raise DomainError(f"replication count must be positive, got {self.nreps}")
-        if self.max_parallelism < 1:
-            raise DomainError(f"parallelism must be positive, got {self.max_parallelism}")
+            object.__setattr__(self, name, _integral(getattr(self, name), what, lo))
 
 
 @dataclass(frozen=True)
@@ -461,13 +459,6 @@ def _simulate_rejections(
 # public operations
 # ---------------------------------------------------------------------------
 
-def _integral(n, what: str) -> int:
-    """``n`` as an int; 20.0 and np.int64(20) pass, and True, "20", 20.9, NaN and inf raise."""
-    if not _is_real(n) or not (isinstance(n, int) or float(n).is_integer()):
-        raise DomainError(f"{what} must be an integer, got {n}")
-    return int(n)
-
-
 def _sample_size(n) -> int:
     """``n`` as an int sample size, which must be at least 2."""
     n = _integral(n, "sample size")
@@ -564,9 +555,7 @@ def _sample_size_searches(
         raise DomainError(f"target power must lie in (0, 1), got {target_power}")
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
-    n_cap = _integral(n_cap, "sample-size cap")
-    if n_cap < 2:
-        raise DomainError(f"sample-size cap must be at least 2, got {n_cap}")
+    n_cap = _integral(n_cap, "sample-size cap", 2)
     traces: dict[TestKind, list[Probe]] = {kind: [] for kind in kinds}
     results = {}
     groups = [(kinds, 1, None)]
@@ -604,7 +593,7 @@ def min_sample_size(
     params: MixtureParams,
     target_power: float,
     config: SimConfig,
-    n_cap: int = 1_000_000,
+    n_cap: int = DEFAULT_N_CAP,
 ) -> SampleSizeResult:
     """Smallest n whose estimated power clears the target.
 
@@ -628,7 +617,7 @@ def empirical_are(
     theta_sequence,
     target_power: float,
     config: SimConfig,
-    n_cap: int = 1_000_000,
+    n_cap: int = DEFAULT_N_CAP,
 ) -> list[EmpiricalArePoint]:
     """Sample-size ratio n_t / n_w along a theta schedule shrinking to 0.
 

@@ -43,11 +43,6 @@ def stream_key(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def replication_rng(master_seed: int, cell_key: int, block: int) -> np.random.Generator:
-    """Generator for one block of replications of one simulation cell."""
-    return seeded_rng(master_seed, cell_key, block)
-
-
 def seeded_rng(master_seed: int, *labels) -> np.random.Generator:
     """Generator keyed by ``(master_seed, *labels)``; every mixrank stream is built here."""
     return np.random.Generator(np.random.SFC64(stream_key(master_seed, *labels)))

@@ -227,6 +227,15 @@ def test_manifest_write_failure_is_data_error(tmp_path, capsys):
     assert "x.csv.manifest.json" in err
 
 
+def test_an_empty_out_path_is_a_write_error_not_stdout(tmp_path, capsys, monkeypatch):
+    # "" names the current directory, which cannot be written as a file.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "null-dist", "--n", "3", "--out", "")
+    assert (code, out) == (3, "")
+    assert "cannot write output file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
@@ -318,6 +327,21 @@ def test_curve_malformed_theta_list(capsys):
         main(["curve", "--mu", "1", "--sigma", "1", "--theta", "0.2;0.3", "--n", "10"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("curve", "--mu", "1", "--sigma", "1", "--n", "20", "--theta", ","), "empty value list"),
+        (("grid", "--mu-range", "1", "--sigma-range", "0.5,1"), "expected LO,HI, got '1'"),
+    ],
+    ids=["empty-list", "one-of-a-pair"],
+)
+def test_malformed_value_lists_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_curve_sample_size_below_two_is_usage_error(capsys):
@@ -439,6 +463,31 @@ def test_cmd_test_parse_error_names_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "test", "--data", str(data))
     assert code == 3
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1_0", "unparsable value at line 2: '1_0'"),  # float() alone reads it as 10.0
+        ("inf", "non-finite value at line 2: 'inf'"),
+    ],
+)
+def test_cmd_test_refuses_a_value_by_its_line(tmp_path, capsys, line, message):
+    data = tmp_path / "bad.txt"
+    data.write_text(f"1.5\n{line}\n-2\n")
+    code, out, err = run_cli(capsys, "test", "--data", str(data))
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+def test_cmd_test_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("1.5\n-2\n3.25\n", encoding="utf-8")
+    marked.write_text("1.5\n-2\n3.25\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run_cli(capsys, "test", "--data", str(marked))
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "test", "--data", str(plain))[1]
 
 
 def test_cmd_test_empty_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The argument rules: the one integer rule, and one enum-member rule for every enum argument."""
+"""The argument rules: the table integer rule, and one enum-member rule for every enum argument."""
 
 import math
 from fractions import Fraction

@@ -37,7 +37,7 @@ from mixrank.rank_tests import (
     t_statistic,
     wilcoxon_test,
 )
-from mixrank.streams import replication_rng
+from mixrank.streams import seeded_rng
 
 
 def config(**overrides):
@@ -60,10 +60,10 @@ def test_sim_config_validation():
     for sidedness in ("less", "greater", "two_sided", None):
         with pytest.raises(DomainError):
             config(sidedness=sidedness)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="replication count must be at least 1, got 0"):
         config(nreps=0)
-    with pytest.raises(DomainError):
-        config(max_parallelism=0)
+    with pytest.raises(DomainError, match="parallelism must be at least 1, got 0"):
+        config(max_parallelism=0.0)
 
 
 @pytest.mark.parametrize("field", ["nreps", "master_seed", "max_parallelism"])
@@ -126,7 +126,7 @@ def test_block_regenerates_alone(monkeypatch):
     cell = power._simulation_cell_key(params, n)
     for b in (1, 3):
         rows = min(B, cfg.nreps - b * B)
-        alone = sample(params, rows * n, replication_rng(cfg.master_seed, cell, b)).reshape(rows, n)
+        alone = sample(params, rows * n, seeded_rng(cfg.master_seed, cell, b)).reshape(rows, n)
         np.testing.assert_array_equal(alone, full[b * B : b * B + rows])
 
 
@@ -455,6 +455,8 @@ def test_empirical_are_schedule_validation():
         empirical_are(1.0, 1.0, [0.5, 0.5], 0.8, cfg)
     with pytest.raises(DomainError):
         empirical_are(1.0, 1.0, [0.5, -0.1], 0.8, cfg)
+    with pytest.raises(DomainError, match="strictly positive"):
+        empirical_are(1.0, 1.0, [0.5, 0.0], 0.8, cfg)
     for theta in ("0.5", None, True):
         with pytest.raises(DomainError):
             empirical_are(1.0, 1.0, [theta], 0.8, cfg)
@@ -691,7 +693,7 @@ def test_wilcoxon_rejections_match_scalar_test_when_most_rows_are_coarse(
     # coarse (a float32 tie) and all of the key widths are taken.
     params = MixtureParams(0.9, 1.0, 1e-7)
     rows = power._block_rows(n)
-    x = sample(params, rows * n, replication_rng(17, n, 0)).reshape(rows, n)
+    x = sample(params, rows * n, seeded_rng(17, n, 0)).reshape(rows, n)
     mags32 = np.sort(np.abs(x).astype(np.float32), axis=1)
     assert (mags32[:, 1:] == mags32[:, :-1]).any(axis=1).mean() > 0.9
     _match_scalar_test(x, 0.05, sidedness, monkeypatch)

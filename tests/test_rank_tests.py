@@ -273,6 +273,8 @@ def test_identity_examples():
         identity_check([0.0, 1.0, 2.0])
     with pytest.raises(TiesUnsupportedError):
         identity_check([1.0, -1.0, 2.0])
+    with pytest.raises(InsufficientDataError):
+        identity_check([1.0])
 
 
 def test_identity_random_suite():
