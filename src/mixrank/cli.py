@@ -235,7 +235,8 @@ def _read_data_file(path: str) -> list[float]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            if "_" in stripped:  # float() reads Python's digit grouping: 1_0 as 10
+            # float() also reads Python's digit grouping (1_0 as 10) and non-ASCII digits.
+            if "_" in stripped or not stripped.isascii():
                 raise ValueError(stripped)
             value = float(stripped)
         except ValueError:

@@ -13,9 +13,9 @@ task, so every sample depends only on (master seed, simulation cell,
 block index, replication count).  Per-cell results are integer rejection
 counts, so output is bit-identical for any worker count.  A block holds at
 most ``_BLOCK_ELEMENTS`` sample values (1 MiB of float64), drawn into a
-buffer that later blocks reuse, or one row in fresh memory where a row alone
-holds more (n > 2**17).  The evaluators see a block read-only, so none can
-write into a buffer another block will read.
+buffer that the next block of the same call or search reuses, or one row in
+fresh memory where a row alone holds more (n > 2**17).  The evaluators see
+a block read-only, so none can write into a buffer another block will read.
 The calling thread and ``max_parallelism - 1`` helper threads take the
 blocks of every cell of a call in lattice order, one block at a time each,
 so no cell ends at a barrier, a surface holds at most one block per worker
@@ -78,15 +78,11 @@ _BLOCK_ROWS = 4096  # most replications per block
 # temporary, the deviations from the row means.  The signed-rank evaluator
 # holds a key and the differences of adjacent keys: half a block each on
 # 32-bit keys, a block each on 64-bit keys.  It binds above n = 32, and above
-# n = 2**16 a block is one row.  A block is drawn into a reused buffer of this
-# many doubles, so its memory is not returned to the system and faulted back
-# in by the next block; a row longer than that (n > 2**17) is drawn into
-# fresh memory.
+# n = 2**16 a block is one row.  A block is drawn into a buffer of this many
+# doubles that the next block of the same call reuses, so its memory is not
+# returned to the system and faulted back in block after block; a row longer
+# than that (n > 2**17) is drawn into fresh memory.
 _BLOCK_ELEMENTS = 1 << 17
-# Block buffers not in use.  A running block holds one and each worker runs
-# one block at a time, so there are never more than the workers of the
-# widest call so far.
-_FREE_BUFFERS: list[np.ndarray] = []
 # Largest n whose signed-rank rows are ranked on 32-bit keys first.  Rows
 # with a float32 zero or tie (coarse rows) are ranked again on 64-bit keys.
 # Under the benchmark mixtures (C7's, and C8's lattice at theta 0.2-0.8) the
@@ -352,10 +348,10 @@ def _simulation_cell_key(params: MixtureParams, n: int) -> int:
     return stream_key("power-cell", params.theta, params.mu, params.sigma, n)
 
 
-def _take_buffer() -> np.ndarray:
-    """A free block buffer of ``_BLOCK_ELEMENTS`` doubles, or a new one when none is free."""
+def _take_buffer(free: list[np.ndarray]) -> np.ndarray:
+    """A block buffer of ``_BLOCK_ELEMENTS`` doubles from ``free``, or a new one if it is empty."""
     try:
-        return _FREE_BUFFERS.pop()  # one atomic step, so two threads never share one
+        return free.pop()  # one atomic step, so two threads never share one
     except IndexError:
         return np.empty(_BLOCK_ELEMENTS)
 
@@ -364,6 +360,7 @@ def _simulate_cells(
     cells: list[tuple[MixtureParams, int]],
     config: SimConfig,
     kinds: tuple[TestKind, ...],
+    buffers: list[np.ndarray] | None = None,
 ) -> list[dict[TestKind, PowerEstimate]]:
     """Estimates of every (params, n) cell, all of their blocks run by one set of workers.
 
@@ -375,22 +372,27 @@ def _simulate_cells(
     its blocks' freed memory apart.  The first block to raise, or helper that
     cannot start, stops the other workers after their current blocks; the
     helpers are joined and that exception is raised here.
+
+    Blocks draw into the free list ``buffers``, from which the next block of
+    the same call reuses them: at most one per worker.  A search passes its
+    probes one list; by default each call makes its own, freed on return.
     """
     kinds = tuple(_member(kind, TestKind, "test kind") for kind in kinds)
+    buffers = [] if buffers is None else buffers
     layout = [(_simulation_cell_key(params, n), _block_rows(n)) for params, n in cells]
     n_blocks = [-(-config.nreps // rows) for _, rows in layout]
 
     def run_block(params: MixtureParams, n: int, cell: int, rows: int, block: int) -> np.ndarray:
         rng = replication_rng(config.master_seed, cell, block)
         count = min(rows, config.nreps - block * rows)
-        buffer = _take_buffer() if count * n <= _BLOCK_ELEMENTS else None
+        buffer = _take_buffer(buffers) if count * n <= _BLOCK_ELEMENTS else None
         try:
             x = draw_sample(params, count * n, rng, buffer).reshape(count, n)
             x.flags.writeable = False  # the next block draws into the same memory
             return np.array([_EVALUATORS[kind](x, config.alpha, config.sidedness) for kind in kinds])
         finally:
             if buffer is not None:
-                _FREE_BUFFERS.append(buffer)
+                buffers.append(buffer)
 
     # The counts are integers summed per cell, so they cannot depend on the
     # worker count or on the order in which blocks finish.
@@ -450,9 +452,10 @@ def _simulate_rejections(
     n: int,
     config: SimConfig,
     kinds: tuple[TestKind, ...],
+    buffers: list[np.ndarray] | None = None,
 ) -> dict[TestKind, PowerEstimate]:
     """Estimates of one cell, from the same runner as a whole surface."""
-    return _simulate_cells([(params, n)], config, kinds)[0]
+    return _simulate_cells([(params, n)], config, kinds, buffers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +559,7 @@ def _sample_size_searches(
     if params.theta <= 0.0:
         raise DomainError("sample-size search requires an alternative (theta > 0)")
     n_cap = _integral(n_cap, "sample-size cap", 2)
+    buffers: list[np.ndarray] = []  # every probe of the search draws into these
     traces: dict[TestKind, list[Probe]] = {kind: [] for kind in kinds}
     results = {}
     groups = [(kinds, 1, None)]
@@ -571,7 +575,7 @@ def _sample_size_searches(
                 results[kind] = SampleSizeResult(hi, ci, traces[kind])
             continue
         n = min(2 * lo, n_cap) if hi is None else (lo + hi) // 2
-        estimates = _simulate_rejections(params, n, config, group)
+        estimates = _simulate_rejections(params, n, config, group, buffers)
         hit, miss = [], []
         for kind in group:
             traces[kind].append(Probe(n, estimates[kind]))

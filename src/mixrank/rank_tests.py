@@ -8,9 +8,10 @@ and a tie-corrected normal-approximation variance, and exact mode refuses
 ties.
 
 One normal CDF, ``scipy.special.ndtr`` (absolute error well below 1e-12),
-serves the whole package, here and in :mod:`mixrank.mixture`, so closed-form
-efficiencies, p-values and Monte Carlo calibration can never drift apart;
-its upper tail is taken as Phi(-z).
+serves the normal-approximation p-values here and the mixture CDF and xi_w
+in :mod:`mixrank.mixture`; its upper tail is taken as Phi(-z).  The
+closed-form efficiencies (``efficiency.are``, ``mixture.xi_w_slope_at_null``)
+take 2*Phi(x) - 1 as ``math.erf(x/sqrt(2))``, free of cancellation at small mu.
 """
 
 import math

@@ -470,11 +470,14 @@ def test_cmd_test_parse_error_names_line(tmp_path, capsys):
     [
         ("1_0", "unparsable value at line 2: '1_0'"),  # float() alone reads it as 10.0
         ("inf", "non-finite value at line 2: 'inf'"),
+        # float() alone reads Arabic-Indic 12 and a full-width 3 as 12.0 and 3.0.
+        ("\u0661\u0662", "unparsable value at line 2: '\u0661\u0662'"),
+        ("\uff13", "unparsable value at line 2: '\uff13'"),
     ],
 )
 def test_cmd_test_refuses_a_value_by_its_line(tmp_path, capsys, line, message):
     data = tmp_path / "bad.txt"
-    data.write_text(f"1.5\n{line}\n-2\n")
+    data.write_text(f"1.5\n{line}\n-2\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "test", "--data", str(data))
     assert (code, out) == (3, "")
     assert message in err

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -287,17 +288,23 @@ def test_surface_keeps_a_bounded_window_of_blocks(workers, monkeypatch):
     assert threading.get_ident() in threads and len(threads) <= workers
 
 
+def _recording_take_buffer(monkeypatch, record):
+    """Pass every block buffer ``_simulate_cells`` takes to ``record``."""
+    take_buffer = power._take_buffer
+
+    def recording_take(free):
+        buffer = take_buffer(free)
+        record(buffer)
+        return buffer
+
+    monkeypatch.setattr(power, "_take_buffer", recording_take)
+
+
 @pytest.mark.parametrize("workers", [2, 8])
 @pytest.mark.parametrize("on_calling_thread", [False, True], ids=["helper", "caller"])
 def test_a_failing_block_stops_every_worker(workers, on_calling_thread, monkeypatch):
-    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
-    take_buffer, taken = power._take_buffer, set()
-
-    def recording_take():
-        buffer = take_buffer()
-        taken.add(id(buffer))
-        return buffer
-
+    taken, buffers = set(), []
+    _recording_take_buffer(monkeypatch, lambda buffer: taken.add(id(buffer)))
     caller, alive = threading.get_ident(), threading.active_count()
     first, failed, started = threading.Lock(), threading.Event(), []
 
@@ -312,16 +319,15 @@ def test_a_failing_block_stops_every_worker(workers, on_calling_thread, monkeypa
         time.sleep(0.2)
         return 0, 0
 
-    monkeypatch.setattr(power, "_take_buffer", recording_take)
     monkeypatch.setitem(power._EVALUATORS, TestKind.T, evaluate)
     cells = [(MixtureParams(0.4, 1.0, 1.0), 100)]
     cfg = config(nreps=20 * power._block_rows(100), max_parallelism=workers)
     with pytest.raises(RuntimeError, match="block failed"):
-        power._simulate_cells(cells, cfg, (TestKind.T,))
+        power._simulate_cells(cells, cfg, (TestKind.T,), buffers)
     assert failed.is_set() and threading.active_count() == alive
     assert len(started) == len(set(started)) <= workers
-    buffers = {id(b) for b in power._FREE_BUFFERS}
-    assert buffers == taken and len(buffers) == len(power._FREE_BUFFERS) <= workers
+    # Every buffer taken went back to the call's list, failed block included.
+    assert {id(b) for b in buffers} == taken and len(buffers) == len(taken) <= workers
 
 
 def test_a_helper_that_cannot_start_stops_the_ones_started(monkeypatch):
@@ -523,35 +529,64 @@ def test_evaluators_cannot_write_to_their_block(n, nreps, monkeypatch):
         estimate_power(TestKind.T, MixtureParams(0.4, 1.0, 1.0), n, config(nreps=nreps))
 
 
-def test_reused_buffers_leak_nothing_between_cells(monkeypatch):
-    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
+def test_reused_buffers_leak_nothing_between_cells():
+    # One list through every call, as a search shares it between its probes.
+    buffers, kinds = [], tuple(TestKind)
     params = MixtureParams(0.4, 1.0, 1.0)
     cfg = config(nreps=2 * power._block_rows(100) + 17)  # ends in a partial block
-    first = power._simulate_rejections(params, 100, cfg, tuple(TestKind))
+    first = power._simulate_rejections(params, 100, cfg, kinds, buffers)
     assert power._block_rows(2**17 + 1) == 1  # a row longer than a buffer
-    power._simulate_rejections(params, 2**17 + 1, config(nreps=2), tuple(TestKind))
-    power_ratio_surface(2.0, 0.5, [0.3, 0.9], [7, 60], config(nreps=5000, max_parallelism=2))
-    assert power._simulate_rejections(params, 100, cfg, tuple(TestKind)) == first
-    buffers = power._FREE_BUFFERS
+    power._simulate_rejections(params, 2**17 + 1, config(nreps=2), kinds, buffers)
+    cells = [(MixtureParams(theta, 2.0, 0.5), n) for theta in (0.3, 0.9) for n in (7, 60)]
+    power._simulate_cells(cells, config(nreps=5000, max_parallelism=2), kinds, buffers)
+    assert power._simulate_rejections(params, 100, cfg, kinds, buffers) == first
+    assert power._simulate_rejections(params, 100, cfg, kinds) == first
     assert 1 <= len(buffers) <= 2
     assert all(b.dtype == np.float64 and b.shape == (power._BLOCK_ELEMENTS,) for b in buffers)
 
 
-def test_buffers_are_never_shared_between_threads(monkeypatch):
+def test_buffers_are_never_shared_between_threads():
     # More workers than cores, switching threads as often as possible: two
     # blocks drawing into one buffer would change the counts.
-    monkeypatch.setattr(power, "_FREE_BUFFERS", [])
     cells = [(MixtureParams(theta, 1.0, 1.0), n) for theta in (0.2, 0.6) for n in (20, 300)]
     serial = power._simulate_cells(cells, config(nreps=8000), tuple(TestKind))
+    buffers = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = power._simulate_cells(cells, config(nreps=8000, max_parallelism=8), tuple(TestKind))
+        pooled = power._simulate_cells(
+            cells, config(nreps=8000, max_parallelism=8), tuple(TestKind), buffers
+        )
     finally:
         sys.setswitchinterval(interval)
     assert pooled == serial
-    buffers = power._FREE_BUFFERS
     assert len({id(b) for b in buffers}) == len(buffers) <= 8
+
+
+def test_no_block_buffer_outlives_its_call(monkeypatch):
+    taken = []
+    _recording_take_buffer(monkeypatch, lambda buffer: taken.append(weakref.ref(buffer)))
+    params = MixtureParams(0.5, 1.0, 1.0)
+    cfg = config(nreps=6000, max_parallelism=2)
+    for run in (
+        lambda: estimate_power(TestKind.T, params, 50, cfg),
+        lambda: power_ratio_surface(1.0, 1.0, [0.3, 0.6], [10, 40], cfg),
+        lambda: min_sample_size(TestKind.WILCOXON, params, 0.8, cfg),
+    ):
+        taken.clear()
+        run()
+        # Freed as the call returns, by reference counting alone.
+        assert taken and all(ref() is None for ref in taken)
+
+
+def test_a_search_reuses_its_block_buffers(monkeypatch):
+    taken = []  # held, so no buffer is freed and its id reused
+    _recording_take_buffer(monkeypatch, taken.append)
+    cfg = config(nreps=3000, max_parallelism=2)
+    (row,) = empirical_are(1.0, 0.5, [0.5], 0.8, cfg)
+    probes = {n for search in (row.t_search, row.w_search) for n, _ in search.search_trace}
+    assert len(taken) >= len(probes) > 2
+    assert 1 <= len({id(buffer) for buffer in taken}) <= cfg.max_parallelism
 
 
 def test_one_block_cell_peak_memory():
@@ -1000,9 +1035,9 @@ def test_empirical_are_draws_each_cell_once(monkeypatch):
     calls = []
     simulate = power._simulate_rejections
 
-    def record(params, n, config, kinds):
+    def record(params, n, config, kinds, buffers=None):
         calls.append((params, n, kinds))
-        return simulate(params, n, config, kinds)
+        return simulate(params, n, config, kinds, buffers)
 
     monkeypatch.setattr(power, "_simulate_rejections", record)
     rows = empirical_are(1.0, 0.5, [0.5, 0.3], 0.8, config(nreps=400, master_seed=1))
