@@ -230,7 +230,9 @@ def _read_data_file(path: str) -> list[float]:
     except OSError as exc:
         raise DataFileError(f"cannot read data file {path}: {exc}") from exc
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text has turned \r\n and \r into \n; splitlines() would also split
+    # at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, which end no line.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -283,8 +285,9 @@ def cmd_null_dist(args: argparse.Namespace) -> None:
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=SimConfig.alpha, help="significance level")
+    sided = {value: name for name, value in _SIDEDNESS.items()}[SimConfig.sidedness]
     p.add_argument(
-        "--sided", choices=sorted(_SIDEDNESS), default="greater", help="alternative direction"
+        "--sided", choices=sorted(_SIDEDNESS), default=sided, help="alternative direction"
     )
     p.add_argument("--nreps", type=int, default=SimConfig.nreps, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=SimConfig.master_seed, help="master seed")

@@ -29,9 +29,9 @@ key width: a row rejects iff p <= alpha.  The t evaluator rejects a row by
 comparing its statistic with a critical value instead, which spares a
 ``betainc`` call per row: a row rejects iff its t statistic, oriented toward
 the alternative as the scalar p-value orients it (-t for LESS, the larger of
-t and -t for TWO_SIDED), is >= c.  A cached search on the Student-t p-value
-finds c for each (n, alpha, two-sidedness) in at most 8 vectorised p-value
-calls, each of which narrows the doubles left 256-fold.  The rule
+t and -t for TWO_SIDED), is >= c.  A cached bisection over the doubles
+finds c for each (n, alpha, two-sidedness) in at most 64 scalar Student-t
+p-value calls, one per halving.  The rule
 rejects the same rows as p <= alpha wherever that p-value is monotone in
 floating point; tests/test_power.py checks it next to every critical value.
 The signed-rank evaluator ranks rows on a ladder of key widths: the float32
@@ -189,7 +189,6 @@ class EmpiricalArePoint:
 # ---------------------------------------------------------------------------
 
 _CRITICAL_CACHE = 1024  # t's (n, alpha, two-sidedness) keys; a search probes ~20 n
-_WAYS = 256  # most points a critical-value search tests per round
 _INF_ORDINAL = 0x7FF0_0000_0000_0000  # ordinal of +inf; -inf is its negation
 
 
@@ -199,42 +198,27 @@ def _doubles(ordinals: np.ndarray) -> np.ndarray:
     return np.where(ordinals < 0, -magnitude, magnitude)
 
 
-def _first(rejects, lo: int, hi: int) -> int:
-    """Smallest k in [lo, hi) with ``rejects(k)``, or hi; ``rejects`` is False, then True.
-
-    ``rejects`` maps an int64 array to a bool array.  Each round is one call
-    on ``_WAYS`` points spread evenly over what is left, or on every point
-    once that few are left, so each round shrinks the range ``_WAYS``-fold.
-    """
-    while lo < hi:
-        ways = min(hi - lo, _WAYS)
-        points = [lo + j * (hi - lo) // ways for j in range(ways)]
-        hits = rejects(np.array(points, dtype=np.int64))
-        first_hit = int(np.argmax(hits)) if hits.any() else ways
-        if first_hit < ways:
-            hi = points[first_hit]
-        if first_hit > 0:
-            lo = points[first_hit - 1] + 1
-    return hi
-
-
 @functools.lru_cache(maxsize=_CRITICAL_CACHE)
 def _t_critical_value(n: int, alpha: float, two_sided: bool) -> float:
     """The critical value c of the oriented t statistic of n values at level alpha.
 
     c is the smallest double whose p-value is <= alpha: GREATER's p over
-    every double, or TWO_SIDED's over |t| >= 0.  Past |t| ~ 1.3e154, t*t
-    overflows and the p-value reads 0, as it would for a row; only the
-    search probes there, so it runs with the overflow warning off.
+    every double, or TWO_SIDED's over |t| >= 0.  A bisection over the
+    doubles' ordinals finds it, one scalar p-value call per halving of fewer
+    than 2**64 ordinals.  Past |t| ~ 1.3e154, t*t overflows and the p-value
+    reads 0, as it would for a row; only the search probes there, so it
+    runs with the overflow warning off.
     """
     side = Sidedness.TWO_SIDED if two_sided else Sidedness.GREATER
+    lo, hi = 0 if two_sided else -_INF_ORDINAL, _INF_ORDINAL
     with np.errstate(over="ignore"):
-        ordinal = _first(
-            lambda o: _t_p_value(_doubles(o), n - 1, side) <= alpha,
-            0 if two_sided else -_INF_ORDINAL,
-            _INF_ORDINAL,
-        )
-    return float(_doubles(np.array(ordinal)))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _t_p_value(_doubles(np.int64(mid)), n - 1, side) <= alpha:
+                hi = mid
+            else:
+                lo = mid + 1
+    return float(_doubles(np.int64(hi)))
 
 
 def _t_rejections(x: np.ndarray, alpha: float, sidedness: Sidedness) -> tuple[int, int]:

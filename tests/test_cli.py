@@ -473,6 +473,11 @@ def test_cmd_test_parse_error_names_line(tmp_path, capsys):
         # float() alone reads Arabic-Indic 12 and a full-width 3 as 12.0 and 3.0.
         ("\u0661\u0662", "unparsable value at line 2: '\u0661\u0662'"),
         ("\uff13", "unparsable value at line 2: '\uff13'"),
+        # str.splitlines() alone reads these as two values, 1.5 and 2.5.
+        *[
+            (f"1.5{sep}2.5", f"unparsable value at line 2: {f'1.5{sep}2.5'!r}")
+            for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+        ],
     ],
 )
 def test_cmd_test_refuses_a_value_by_its_line(tmp_path, capsys, line, message):
@@ -491,6 +496,16 @@ def test_cmd_test_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, caps
     code, out, err = run_cli(capsys, "test", "--data", str(marked))
     assert (code, err) == (0, "")
     assert out == run_cli(capsys, "test", "--data", str(plain))[1]
+
+
+def test_cmd_test_reads_crlf_and_cr_line_breaks(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"1.5\n-2\n3.25\n")
+    expected = run_cli(capsys, "test", "--data", str(plain))[1]
+    for name, text in (("crlf.txt", b"1.5\r\n-2\r\n3.25\r\n"), ("cr.txt", b"1.5\r-2\r3.25\r")):
+        data = tmp_path / name
+        data.write_bytes(text)
+        assert run_cli(capsys, "test", "--data", str(data)) == (0, expected, "")
 
 
 def test_cmd_test_empty_file(tmp_path, capsys):
